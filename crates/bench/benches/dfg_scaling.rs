@@ -2,14 +2,36 @@
 //!
 //! The paper motivates graph *learning* over classical graph-similarity
 //! algorithms partly on scalability: "existing algorithms suffer from high
-//! complexity and are not scalable to large designs". This bench shows the
-//! Fig. 2 pipeline itself scales near-linearly with design size (multiplier
-//! netlists from 4x4 up to 16x16, i.e. tens to thousands of gates).
+//! complexity and are not scalable to large designs". This bench measures
+//! how the Fig. 2 pipeline scales with design size (multiplier netlists
+//! from 4x4 up to 16x16, i.e. tens to thousands of gates).
+//!
+//! A multiplier has few pass-through nodes (24 at 12x12), so it hides how
+//! trim scales with the number of collapses. The `dfg/phases` trim rows
+//! therefore also time an obfuscated multiplier (buffer chains, double
+//! inverters, dummy logic) and bare buffer chains of 500 to 8,000 gates;
+//! trim time should grow about linearly along the chains.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use gnn4ip_data::iscas::c6288_sized;
-use gnn4ip_dfg::graph_from_verilog;
+use gnn4ip_data::{obfuscate_netlist, ObfuscationConfig};
+use gnn4ip_dfg::{graph_from_verilog, Dfg};
+
+/// `y = buf(buf(…buf(a)…))` as a chain of `len` buffer gates.
+fn buffer_chain(len: usize) -> String {
+    let mut src = String::from("module chain(input a, output y);\n  buf (w0, a);\n");
+    for i in 1..len - 1 {
+        src.push_str(&format!("  buf (w{i}, w{});\n", i - 1));
+    }
+    src.push_str(&format!("  buf (y, w{});\nendmodule\n", len - 2));
+    src
+}
+
+/// Untrimmed DFG of `src`.
+fn extracted(src: &str, top: &str) -> Dfg {
+    gnn4ip_dfg::extract(&gnn4ip_hdl::elaborate(src, Some(top)).expect("elaborates"))
+}
 
 fn bench_extraction_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("dfg/pipeline_vs_design_size");
@@ -46,13 +68,29 @@ fn bench_pipeline_phases(c: &mut Criterion) {
     group.bench_function("extract", |b| {
         b.iter(|| std::hint::black_box(gnn4ip_dfg::extract(&flat)))
     });
-    group.bench_function("trim", |b| {
-        let g = gnn4ip_dfg::extract(&flat);
-        b.iter(|| {
-            let mut g2 = g.clone();
-            std::hint::black_box(gnn4ip_dfg::trim(&mut g2))
-        })
-    });
+    let obfuscated = obfuscate_netlist(&src, 1, &ObfuscationConfig::default()).expect("obf");
+    let mut trim_rows = vec![
+        ("trim".to_string(), gnn4ip_dfg::extract(&flat)),
+        (
+            "trim/c6288_12x12_obfuscated".to_string(),
+            extracted(&obfuscated, "c6288"),
+        ),
+    ];
+    for len in [500usize, 1000, 2000, 4000, 8000] {
+        trim_rows.push((
+            format!("trim/buffer_chain_{len}"),
+            extracted(&buffer_chain(len), "chain"),
+        ));
+    }
+    for (name, g) in &trim_rows {
+        group.bench_function(name.as_str(), |b| {
+            b.iter_batched(
+                || g.clone(),
+                |mut g| gnn4ip_dfg::trim(&mut g),
+                BatchSize::SmallInput,
+            )
+        });
+    }
     group.finish();
 }
 

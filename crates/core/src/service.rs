@@ -770,6 +770,54 @@ mod tests {
         assert_eq!(report.latency.count, 2, "both audit requests timed");
     }
 
+    /// A design without outputs trims to an empty graph. Its AUDIT gets a
+    /// typed `ERR`, and a valid AUDIT queued behind it on the same worker
+    /// still gets its `VERDICT`.
+    #[test]
+    fn output_free_design_is_an_error_not_a_dead_worker() {
+        const NO_OUTPUTS: &str = "module m(input a, input b); wire t; assign t = a & b; endmodule";
+        let mut input = String::new();
+        input.push_str(&format!("INGEST inv\n{INV}\n.\n"));
+        input.push_str(&format!("INGEST nothing\n{NO_OUTPUTS}\n.\n"));
+        input.push_str("PUBLISH\n");
+        input.push_str(&format!("AUDIT bad\n{NO_OUTPUTS}\n.\n"));
+        input.push_str(&format!("AUDIT good\n{INV}\n.\n"));
+        input.push_str("SHUTDOWN\n");
+        let mut pipeline = service_pipeline();
+        let mut out: Vec<u8> = Vec::new();
+        let report = run_service(
+            &mut pipeline,
+            &ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            input.as_bytes(),
+            &mut out,
+        )
+        .expect("service runs");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 6, "one response per request:\n{text}");
+        assert_eq!(lines[0], "OK ingested=1 rejected=0");
+        assert!(
+            lines[1].starts_with("ERR ingest nothing: ") && lines[1].contains("no outputs"),
+            "{}",
+            lines[1]
+        );
+        assert!(
+            lines[3].starts_with("ERR audit bad: ") && lines[3].contains("no outputs"),
+            "{}",
+            lines[3]
+        );
+        assert!(
+            lines[4].starts_with("VERDICT good matches=1 "),
+            "{}",
+            lines[4]
+        );
+        assert_eq!(lines[5], "OK bye");
+        assert_eq!((report.audits, report.rejected), (1, 2));
+    }
+
     /// Workers serve the last *published* snapshot: an ingest without a
     /// PUBLISH is invisible to audits, and a PUBLISH makes it visible.
     #[test]

@@ -5,7 +5,6 @@
 //! `(i, j)` exists when the value of node `i` depends on node `j` (so edges
 //! point from the circuit's output roots toward its input leaves).
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use crate::nodekind::NodeKind;
@@ -144,24 +143,40 @@ impl Dfg {
     /// Nodes reachable from the roots along dependency edges (including the
     /// roots themselves), as a boolean mask.
     pub fn reachable_from_roots(&self) -> Vec<bool> {
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
-        for &(f, t) in &self.edges {
-            adj[f].push(t);
-        }
+        let (start, targets) = self.out_csr();
         let mut seen = vec![false; self.nodes.len()];
-        let mut queue: VecDeque<NodeId> = self.roots.iter().copied().collect();
+        let mut stack: Vec<NodeId> = self.roots.clone();
         for &r in &self.roots {
             seen[r] = true;
         }
-        while let Some(n) = queue.pop_front() {
-            for &m in &adj[n] {
+        while let Some(n) = stack.pop() {
+            for &m in &targets[start[n]..start[n + 1]] {
                 if !seen[m] {
                     seen[m] = true;
-                    queue.push_back(m);
+                    stack.push(m);
                 }
             }
         }
         seen
+    }
+
+    /// Dependency lists in compressed form: node `v`'s out-neighbors are
+    /// `targets[start[v]..start[v + 1]]`, in edge-list order.
+    pub(crate) fn out_csr(&self) -> (Vec<usize>, Vec<NodeId>) {
+        let mut start = vec![0usize; self.nodes.len() + 1];
+        for &(f, _) in &self.edges {
+            start[f + 1] += 1;
+        }
+        for i in 0..self.nodes.len() {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start.clone();
+        let mut targets = vec![0; self.edges.len()];
+        for &(f, t) in &self.edges {
+            targets[cursor[f]] = t;
+            cursor[f] += 1;
+        }
+        (start, targets)
     }
 
     /// Keeps only the nodes where `mask` is true, remapping ids and dropping
@@ -169,23 +184,36 @@ impl Dfg {
     pub fn retain_nodes(&mut self, mask: &[bool]) -> Vec<Option<NodeId>> {
         assert_eq!(mask.len(), self.nodes.len(), "mask length mismatch");
         let mut remap: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        let mut new_nodes = Vec::with_capacity(self.nodes.len());
-        for (i, keep) in mask.iter().enumerate() {
-            if *keep {
-                remap[i] = Some(new_nodes.len());
-                new_nodes.push(self.nodes[i].clone());
+        let mut kept = 0;
+        for (slot, &keep) in remap.iter_mut().zip(mask) {
+            if keep {
+                *slot = Some(kept);
+                kept += 1;
             }
         }
-        self.nodes = new_nodes;
-        self.edges = self
+        let old_nodes = std::mem::take(&mut self.nodes);
+        self.nodes = old_nodes
+            .into_iter()
+            .zip(mask)
+            .filter_map(|(node, &keep)| keep.then_some(node))
+            .collect();
+        let kept_edges: Vec<(NodeId, NodeId)> = self
             .edges
             .iter()
             .filter_map(|&(f, t)| Some((remap[f]?, remap[t]?)))
             .collect();
-        self.edges.sort_unstable();
+        // (from, to) order via two stable counting passes: O(V + E)
+        let by_to = bucket_by(kept, &kept_edges, |&(_, t)| t);
+        self.edges = bucket_by(kept, &by_to, |&(f, _)| f);
         self.edges.dedup();
         self.roots = self.roots.iter().filter_map(|&r| remap[r]).collect();
         remap
+    }
+
+    /// Replaces the edge list wholesale (no bounds checks: callers in this
+    /// crate derive `edges` from the existing node set).
+    pub(crate) fn set_edges(&mut self, edges: Vec<(NodeId, NodeId)>) {
+        self.edges = edges;
     }
 
     /// Counts nodes per kind (index-aligned with the vocabulary).
@@ -225,9 +253,32 @@ impl Dfg {
     }
 }
 
+/// Stable counting sort of `edges` by `key`, whose values are `< n`.
+fn bucket_by(
+    n: usize,
+    edges: &[(NodeId, NodeId)],
+    key: impl Fn(&(NodeId, NodeId)) -> NodeId,
+) -> Vec<(NodeId, NodeId)> {
+    let mut start = vec![0usize; n + 1];
+    for e in edges {
+        start[key(e) + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut out = vec![(0, 0); edges.len()];
+    for e in edges {
+        let slot = &mut start[key(e)];
+        out[*slot] = *e;
+        *slot += 1;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn chain() -> Dfg {
         // y -> op -> a ; orphan node d
@@ -258,6 +309,35 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.roots(), &[0]);
         assert_eq!(remap[3], None);
+    }
+
+    proptest! {
+        /// The counting-sort canonicalization equals sort + dedup.
+        #[test]
+        fn retain_nodes_sorts_and_dedups_edges(
+            mask in prop::collection::vec(0u8..4, 1..30),
+            raw in prop::collection::vec((0usize..30, 0usize..30), 0..80),
+        ) {
+            let mask: Vec<bool> = mask.iter().map(|&m| m > 0).collect();
+            let n = mask.len();
+            let mut g = Dfg::new("t");
+            for i in 0..n {
+                g.add_node(NodeKind::Wire, format!("w{i}"));
+            }
+            for &(f, t) in &raw {
+                g.add_edge(f % n, t % n);
+            }
+            let remap = g.clone().retain_nodes(&mask);
+            let mut want: Vec<(NodeId, NodeId)> = g
+                .edges()
+                .iter()
+                .filter_map(|&(f, t)| Some((remap[f]?, remap[t]?)))
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            g.retain_nodes(&mask);
+            prop_assert_eq!(g.edges(), &want[..]);
+        }
     }
 
     #[test]

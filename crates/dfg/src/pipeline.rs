@@ -29,7 +29,8 @@ pub struct PipelineReport {
 /// # Errors
 ///
 /// Propagates preprocessing, parse, and elaboration errors from
-/// [`gnn4ip_hdl`].
+/// [`gnn4ip_hdl`], and rejects a design without outputs, whose trimmed
+/// graph is empty.
 ///
 /// # Examples
 ///
@@ -58,6 +59,14 @@ pub fn graph_with_report(
     let flat = gnn4ip_hdl::elaborate(source, top)?;
     let mut g = extract(&flat);
     let trim_stats = trim(&mut g);
+    if g.node_count() == 0 {
+        // trim keeps every output root, so only an output-free design
+        // ends up here; its empty graph has nothing to embed or compare
+        return Err(ParseVerilogError::msg(format!(
+            "design '{}' has no outputs: its data-flow graph is empty",
+            g.name()
+        )));
+    }
     let report = PipelineReport {
         nodes: g.node_count(),
         edges: g.edge_count(),
@@ -128,6 +137,16 @@ mod tests {
     #[test]
     fn parse_error_propagates() {
         assert!(graph_from_verilog("module broken(", None).is_err());
+    }
+
+    #[test]
+    fn design_without_outputs_is_an_error() {
+        let err = graph_from_verilog(
+            "module m(input a, input b); wire t; assign t = a & b; endmodule",
+            None,
+        )
+        .expect_err("no outputs");
+        assert!(err.to_string().contains("no outputs"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! symmetric-normalized adjacency `Â` of Eq. 5 explicitly.
 
 use gnn4ip_dfg::{Dfg, VOCAB_SIZE};
-use gnn4ip_tensor::{mean_adjacency, normalized_adjacency, CsrMatrix};
+use gnn4ip_tensor::{normalized_adjacency, CsrMatrix, Neighbors};
 
 /// A graph prepared for the hw2vec model.
 #[derive(Debug, Clone)]
@@ -33,13 +33,13 @@ impl GraphInput {
         assert!(g.node_count() > 0, "cannot embed an empty graph");
         let kinds = g.kind_indices();
         debug_assert!(kinds.iter().all(|&k| k < VOCAB_SIZE));
-        let edges = g.edges().to_vec();
-        let adj = normalized_adjacency(g.node_count(), &edges);
-        let mean_adj = mean_adjacency(g.node_count(), &edges);
+        let neighbors = Neighbors::undirected(g.node_count(), g.edges());
+        let adj = neighbors.normalized_adjacency();
+        let mean_adj = neighbors.mean_adjacency();
         Self {
             name: g.name().to_string(),
             kinds,
-            edges,
+            edges: g.edges().to_vec(),
             adj,
             mean_adj,
         }

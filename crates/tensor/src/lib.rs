@@ -52,6 +52,6 @@ pub use serialize::{
     write_sgd, ArtifactInfo, BinReader, BinWriter, Fnv64, BASE_VERSION, FORMATS, FORMAT_VERSION,
     MAGIC, OPT_TAG_ADAM, OPT_TAG_SGD,
 };
-pub use sparse::{mean_adjacency, normalized_adjacency, CsrMatrix};
+pub use sparse::{mean_adjacency, normalized_adjacency, CsrMatrix, Neighbors};
 pub use tape::{dropout_mask, Gradients, Tape, Var};
 pub use workspace::Workspace;

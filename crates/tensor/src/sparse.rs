@@ -192,6 +192,166 @@ impl CsrMatrix {
     }
 }
 
+/// Undirected neighbor lists of a directed edge list on `n` nodes: row `u`
+/// holds every `v` joined to `u` by an edge `(u, v)` or `(v, u)`, sorted
+/// ascending and deduplicated. A self-loop `(u, u)` puts `u` in its own row.
+///
+/// Both graph operators derive from these lists, so a graph's edges are
+/// bucketed once for [`Neighbors::normalized_adjacency`] and
+/// [`Neighbors::mean_adjacency`] alike.
+///
+/// # Examples
+///
+/// ```
+/// use gnn4ip_tensor::Neighbors;
+///
+/// // 0 and 2 are joined (twice); 1 has only a self-loop
+/// let nb = Neighbors::undirected(3, &[(2, 0), (0, 2), (1, 1)]);
+/// let a = nb.normalized_adjacency().to_dense();
+/// assert_eq!(a.get(1, 1), 1.0);
+/// assert!((a.get(0, 2) - 0.5).abs() < 1e-6);
+/// let m = nb.mean_adjacency().to_dense();
+/// assert_eq!((m.get(0, 2), m.get(1, 1)), (1.0, 0.0));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Neighbors {
+    indptr: Vec<usize>,
+    indices: Vec<usize>,
+}
+
+impl Neighbors {
+    /// Buckets a directed edge list into undirected neighbor lists in
+    /// O(n + E), with no hashing and no comparison sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is `>= n`.
+    pub fn undirected(n: usize, edges: &[(usize, usize)]) -> Self {
+        // Every edge contributes the pairs (u, v) and (v, u). The pair set
+        // is symmetric, so row r and column r hold equally many pairs and
+        // one prefix-summed count serves as the layout of both passes.
+        let mut start = vec![0usize; n + 1];
+        for &(u, v) in edges {
+            assert!(u < n && v < n, "edge ({u},{v}) out of bounds for n={n}");
+            start[u + 1] += 1;
+            start[v + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        // Pass 1 buckets pairs by column; pass 2 walks the columns in
+        // order and appends each to its rows (a two-digit LSD radix sort),
+        // so every row comes out sorted with duplicates side by side.
+        let mut cursor = start.clone();
+        let mut by_col = vec![0usize; start[n]];
+        for &(u, v) in edges {
+            by_col[cursor[v]] = u;
+            cursor[v] += 1;
+            by_col[cursor[u]] = v;
+            cursor[u] += 1;
+        }
+        let mut end = start[..n].to_vec();
+        let mut rows = vec![0usize; start[n]];
+        for c in 0..n {
+            for &r in &by_col[start[c]..start[c + 1]] {
+                let w = end[r];
+                if w == start[r] || rows[w - 1] != c {
+                    rows[w] = c;
+                    end[r] = w + 1;
+                }
+            }
+        }
+        // Close the gaps the duplicates left, in place (rows only move
+        // toward the front).
+        let mut indptr = Vec::with_capacity(n + 1);
+        indptr.push(0);
+        for r in 0..n {
+            let dst = indptr[r];
+            rows.copy_within(start[r]..end[r], dst);
+            indptr.push(dst + end[r] - start[r]);
+        }
+        rows.truncate(indptr[n]);
+        Self {
+            indptr,
+            indices: rows,
+        }
+    }
+
+    /// Number of nodes.
+    fn len(&self) -> usize {
+        self.indptr.len() - 1
+    }
+
+    /// The sorted neighbors of node `u`.
+    fn row(&self, u: usize) -> &[usize] {
+        &self.indices[self.indptr[u]..self.indptr[u + 1]]
+    }
+
+    /// `Â = D^-1/2 (A + I) D^-1/2`; see [`normalized_adjacency`].
+    pub fn normalized_adjacency(&self) -> CsrMatrix {
+        let n = self.len();
+        // Row u of A + I is u's neighbors plus u itself; `split[u]` is
+        // where u sits (or belongs) in its sorted row.
+        let mut split = Vec::with_capacity(n);
+        let mut inv_sqrt = Vec::with_capacity(n);
+        for u in 0..n {
+            let row = self.row(u);
+            let at = row.partition_point(|&v| v < u);
+            let degree = row.len() + usize::from(row.get(at) != Some(&u));
+            split.push(at);
+            inv_sqrt.push(1.0 / (degree as f32).sqrt());
+        }
+        let nnz = self.indices.len() + n;
+        let mut indptr = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        indptr.push(0);
+        for (u, (&at, &scale)) in split.iter().zip(&inv_sqrt).enumerate() {
+            let row = self.row(u);
+            let mut push = |v: usize| {
+                indices.push(v);
+                values.push(scale * inv_sqrt[v]);
+            };
+            row[..at].iter().for_each(|&v| push(v));
+            if row.get(at) != Some(&u) {
+                push(u);
+            }
+            row[at..].iter().for_each(|&v| push(v));
+            indptr.push(indices.len());
+        }
+        CsrMatrix {
+            rows: n,
+            cols: n,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
+    /// `D^-1 A` without self loops; see [`mean_adjacency`].
+    pub fn mean_adjacency(&self) -> CsrMatrix {
+        let n = self.len();
+        let mut indptr = Vec::with_capacity(n + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(self.indices.len());
+        let mut values = Vec::with_capacity(self.indices.len());
+        for u in 0..n {
+            let before = indices.len();
+            indices.extend(self.row(u).iter().copied().filter(|&v| v != u));
+            let weight = 1.0 / (indices.len() - before) as f32;
+            values.resize(indices.len(), weight);
+            indptr.push(indices.len());
+        }
+        CsrMatrix {
+            rows: n,
+            cols: n,
+            indptr,
+            indices,
+            values,
+        }
+    }
+}
+
 /// Builds the symmetric-normalized adjacency `Â = D^-1/2 (A + I) D^-1/2`
 /// of Eq. 5 (Kipf & Welling) from a directed edge list on `n` nodes.
 ///
@@ -214,35 +374,7 @@ impl CsrMatrix {
 ///
 /// Panics if an endpoint is `>= n`.
 pub fn normalized_adjacency(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
-    let mut seen = std::collections::HashSet::with_capacity(edges.len() * 2 + n);
-    let mut undirected: Vec<(usize, usize)> = Vec::with_capacity(edges.len() * 2 + n);
-    for &(u, v) in edges {
-        assert!(u < n && v < n, "edge ({u},{v}) out of bounds for n={n}");
-        if seen.insert((u, v)) {
-            undirected.push((u, v));
-        }
-        if seen.insert((v, u)) {
-            undirected.push((v, u));
-        }
-    }
-    for i in 0..n {
-        if seen.insert((i, i)) {
-            undirected.push((i, i));
-        }
-    }
-    let mut degree = vec![0.0f32; n];
-    for &(u, _) in &undirected {
-        degree[u] += 1.0;
-    }
-    let inv_sqrt: Vec<f32> = degree
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    let triples: Vec<(usize, usize, f32)> = undirected
-        .into_iter()
-        .map(|(u, v)| (u, v, inv_sqrt[u] * inv_sqrt[v]))
-        .collect();
-    CsrMatrix::from_triplets(n, n, &triples)
+    Neighbors::undirected(n, edges).normalized_adjacency()
 }
 
 /// Builds the row-normalized neighbor-mean operator `D^-1 A` (no self
@@ -255,34 +387,106 @@ pub fn normalized_adjacency(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
 ///
 /// Panics if an endpoint is `>= n`.
 pub fn mean_adjacency(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
-    let mut seen = std::collections::HashSet::with_capacity(edges.len() * 2);
-    let mut undirected: Vec<(usize, usize)> = Vec::with_capacity(edges.len() * 2);
-    for &(u, v) in edges {
-        assert!(u < n && v < n, "edge ({u},{v}) out of bounds for n={n}");
-        if u == v {
-            continue;
-        }
-        if seen.insert((u, v)) {
-            undirected.push((u, v));
-        }
-        if seen.insert((v, u)) {
-            undirected.push((v, u));
-        }
-    }
-    let mut degree = vec![0usize; n];
-    for &(u, _) in &undirected {
-        degree[u] += 1;
-    }
-    let triples: Vec<(usize, usize, f32)> = undirected
-        .into_iter()
-        .map(|(u, v)| (u, v, 1.0 / degree[u] as f32))
-        .collect();
-    CsrMatrix::from_triplets(n, n, &triples)
+    Neighbors::undirected(n, edges).mean_adjacency()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    // The original hash-set builders, kept as oracles for the bucketed
+    // ones: identical CSR structure and bit-identical values.
+    fn normalized_adjacency_reference(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
+        let mut seen = std::collections::HashSet::with_capacity(edges.len() * 2 + n);
+        let mut undirected: Vec<(usize, usize)> = Vec::with_capacity(edges.len() * 2 + n);
+        for &(u, v) in edges {
+            assert!(u < n && v < n, "edge ({u},{v}) out of bounds for n={n}");
+            if seen.insert((u, v)) {
+                undirected.push((u, v));
+            }
+            if seen.insert((v, u)) {
+                undirected.push((v, u));
+            }
+        }
+        for i in 0..n {
+            if seen.insert((i, i)) {
+                undirected.push((i, i));
+            }
+        }
+        let mut degree = vec![0.0f32; n];
+        for &(u, _) in &undirected {
+            degree[u] += 1.0;
+        }
+        let inv_sqrt: Vec<f32> = degree
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+            .collect();
+        let triples: Vec<(usize, usize, f32)> = undirected
+            .into_iter()
+            .map(|(u, v)| (u, v, inv_sqrt[u] * inv_sqrt[v]))
+            .collect();
+        CsrMatrix::from_triplets(n, n, &triples)
+    }
+
+    fn mean_adjacency_reference(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
+        let mut seen = std::collections::HashSet::with_capacity(edges.len() * 2);
+        let mut undirected: Vec<(usize, usize)> = Vec::with_capacity(edges.len() * 2);
+        for &(u, v) in edges {
+            assert!(u < n && v < n, "edge ({u},{v}) out of bounds for n={n}");
+            if u == v {
+                continue;
+            }
+            if seen.insert((u, v)) {
+                undirected.push((u, v));
+            }
+            if seen.insert((v, u)) {
+                undirected.push((v, u));
+            }
+        }
+        let mut degree = vec![0usize; n];
+        for &(u, _) in &undirected {
+            degree[u] += 1;
+        }
+        let triples: Vec<(usize, usize, f32)> = undirected
+            .into_iter()
+            .map(|(u, v)| (u, v, 1.0 / degree[u] as f32))
+            .collect();
+        CsrMatrix::from_triplets(n, n, &triples)
+    }
+
+    fn assert_same_csr(got: &CsrMatrix, want: &CsrMatrix) {
+        assert_eq!((got.rows, got.cols), (want.rows, want.cols));
+        assert_eq!(got.indptr, want.indptr);
+        assert_eq!(got.indices, want.indices);
+        let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Random edge lists with duplicates, both directions, self-loops
+        /// and isolated nodes build the same operators as the oracles.
+        #[test]
+        fn bucketed_adjacency_matches_reference(
+            n in 1usize..40,
+            raw in prop::collection::vec((0usize..40, 0usize..40), 0..120),
+        ) {
+            // squeeze ids into the low part of 0..n so high ids stay isolated
+            let span = n.div_ceil(2).max(1);
+            let edges: Vec<(usize, usize)> = raw.iter().map(|&(u, v)| (u % span, v % n)).collect();
+            assert_same_csr(&normalized_adjacency(n, &edges), &normalized_adjacency_reference(n, &edges));
+            assert_same_csr(&mean_adjacency(n, &edges), &mean_adjacency_reference(n, &edges));
+        }
+    }
+
+    #[test]
+    fn empty_graph_builds_empty_operators() {
+        let nb = Neighbors::undirected(0, &[]);
+        assert_eq!(nb.normalized_adjacency().nnz(), 0);
+        assert_eq!(nb.mean_adjacency().rows(), 0);
+    }
 
     #[test]
     fn from_triplets_matches_dense() {

@@ -1,12 +1,11 @@
-//! Training-engine benchmarks: v1 per-pair-tape full-batch training vs
-//! the v2 mini-batch engine, plus checkpoint write/load latency.
+//! Training-engine benchmarks: one mini-batch epoch on one thread and on
+//! all cores, plus checkpoint write/load latency.
 //!
 //! Claims to keep honest (BASELINE.md records the medians as pairs/sec):
 //!
-//! 1. **shared-tape mini-batches** — the v2 engine injects parameters
-//!    once per worker per micro-batch and runs one backward pass for the
-//!    whole micro-batch, so it must beat the v1 loop (one tape, one
-//!    parameter clone, one backward per *pair*) even on a single thread.
+//! 1. **shared-tape mini-batches** — the engine injects parameters once
+//!    per worker per micro-batch and runs one backward pass for the whole
+//!    micro-batch, so one epoch costs far less than a tape per pair.
 //! 2. **fan-out** — with `threads = 0` (all cores) the micro-batch
 //!    additionally data-parallelizes across workers.
 //! 3. **checkpointing** — serializing and restoring the full training
@@ -18,8 +17,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gnn4ip_data::{designs::synth_design, SynthSize};
 use gnn4ip_dfg::graph_from_verilog;
 use gnn4ip_nn::{
-    train, EngineConfig, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample, TrainConfig,
-    TrainEngine,
+    EngineConfig, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample, TrainConfig, TrainEngine,
 };
 
 /// A small training set over medium synthetic designs: 8 graphs, all
@@ -55,21 +53,7 @@ fn bench_steps_per_sec(c: &mut Criterion) {
     let mut group = c.benchmark_group("training_engine/epoch");
     group.sample_size(10);
 
-    // v1 baseline: full batch, one tape per pair, single thread
-    group.bench_function(format!("v1_full_batch_1thread_{n_pairs}_pairs"), |b| {
-        b.iter(|| {
-            let mut model = Hw2Vec::new(Hw2VecConfig::default(), 7);
-            let cfg = TrainConfig {
-                epochs: 1,
-                batch_size: n_pairs,
-                threads: 1,
-                ..TrainConfig::default()
-            };
-            std::hint::black_box(train(&mut model, &graphs, &pairs, &cfg))
-        })
-    });
-
-    // v2 engine: mini-batches on shared tapes, single thread
+    // mini-batches on shared tapes, single thread
     group.bench_function(format!("v2_minibatch_1thread_{n_pairs}_pairs"), |b| {
         b.iter(|| {
             let cfg = EngineConfig {
@@ -87,7 +71,7 @@ fn bench_steps_per_sec(c: &mut Criterion) {
         })
     });
 
-    // v2 engine: mini-batches fanned out over all cores
+    // mini-batches fanned out over all cores
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     group.bench_function(
         format!("v2_minibatch_fanout_{cores}threads_{n_pairs}_pairs"),

@@ -32,8 +32,8 @@ use gnn4ip_eval::{
     auc, cluster_separation, pca, retrieval_precision_at_k, tsne, ScoreTable, TsneConfig,
 };
 use gnn4ip_nn::{
-    cosine_of, embed_all, train, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample,
-    TrainConfig,
+    cosine_of, EngineConfig, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample, TrainConfig,
+    TrainEngine,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -159,8 +159,8 @@ fn main() {
 ///
 /// # Panics
 ///
-/// Panics when corpus generation fails — in a repro harness a partial
-/// table is worse than no table.
+/// Panics when corpus generation or training fails — in a repro harness
+/// a partial table is worse than no table.
 fn table1(scale: Scale) -> (ExperimentOutcome, ExperimentOutcome) {
     eprintln!("[table1] building RTL corpus ...");
     let rtl_corpus = Corpus::build(&scale.rtl_spec()).expect("RTL corpus");
@@ -176,7 +176,8 @@ fn table1(scale: Scale) -> (ExperimentOutcome, ExperimentOutcome) {
         &scale.train_config(),
         scale.max_different(),
         42,
-    );
+    )
+    .expect("RTL experiment");
     eprintln!("[table1] building netlist corpus ...");
     let net_corpus = Corpus::build(&scale.netlist_spec()).expect("netlist corpus");
     eprintln!(
@@ -191,7 +192,8 @@ fn table1(scale: Scale) -> (ExperimentOutcome, ExperimentOutcome) {
         &scale.train_config(),
         scale.max_different() / 4,
         43,
-    );
+    )
+    .expect("netlist experiment");
     (rtl, net)
 }
 
@@ -268,8 +270,8 @@ fn print_rates(rtl: &ExperimentOutcome, net: &ExperimentOutcome) {
 ///
 /// # Panics
 ///
-/// Panics when design generation or parsing fails — in a repro harness
-/// a partial figure is worse than no figure.
+/// Panics when design generation, parsing or training fails — in a repro
+/// harness a partial figure is worse than no figure.
 fn fig4_embeddings(scale: Scale) -> (Vec<Vec<f32>>, Vec<usize>) {
     let per = scale.fig4_instances();
     eprintln!("[fig4] generating {per} instances each of pipeline & single-cycle MIPS ...");
@@ -301,19 +303,20 @@ fn fig4_embeddings(scale: Scale) -> (Vec<Vec<f32>>, Vec<usize>) {
             });
         }
     }
-    let mut model = Hw2Vec::new(Hw2VecConfig::default(), 17);
-    train(
-        &mut model,
-        &graphs,
-        &pairs,
-        &TrainConfig {
-            epochs: 6,
-            batch_size: 32,
-            lr: 0.005,
-            ..TrainConfig::default()
+    let mut engine = TrainEngine::new(
+        Hw2Vec::new(Hw2VecConfig::default(), 17),
+        EngineConfig {
+            train: TrainConfig {
+                epochs: 6,
+                batch_size: 32,
+                lr: 0.005,
+                ..TrainConfig::default()
+            },
+            ..EngineConfig::default()
         },
     );
-    (embed_all(&model, &graphs), labels)
+    engine.run(&graphs, &pairs, None).expect("fig4 training");
+    (engine.model().embed_batch(&graphs), labels)
 }
 
 fn print_fig4b(embeddings: &[Vec<f32>], labels: &[usize]) {
@@ -380,8 +383,8 @@ fn print_fig4c(embeddings: &[Vec<f32>], labels: &[usize]) {
 ///
 /// # Panics
 ///
-/// Panics when corpus generation fails — in a repro harness a partial
-/// table is worse than no table.
+/// Panics when corpus generation or training fails — in a repro harness
+/// a partial table is worse than no table.
 fn table2(scale: Scale) {
     eprintln!("[table2] training an RTL detector ...");
     let corpus = Corpus::build(&scale.rtl_spec()).expect("corpus");
@@ -391,7 +394,8 @@ fn table2(scale: Scale) {
         &scale.train_config(),
         scale.max_different(),
         44,
-    );
+    )
+    .expect("RTL experiment");
     let detector = outcome.detector;
     println!("\n=== Table II: similarity scores for a variety of design pairs ===");
     let n_examples = if scale.paper { 50 } else { 12 };
@@ -501,8 +505,8 @@ fn table2(scale: Scale) {
 ///
 /// # Panics
 ///
-/// Panics when corpus generation fails — in a repro harness a partial
-/// table is worse than no table.
+/// Panics when corpus generation or training fails — in a repro harness
+/// a partial table is worse than no table.
 fn table3(scale: Scale) {
     eprintln!("[table3] training a netlist detector ...");
     let corpus = Corpus::build(&scale.netlist_spec()).expect("corpus");
@@ -512,7 +516,8 @@ fn table3(scale: Scale) {
         &scale.train_config(),
         scale.max_different() / 4,
         45,
-    );
+    )
+    .expect("netlist experiment");
     let detector = outcome.detector;
     println!("\n=== Table III: similarity scores for obfuscated ISCAS'85 benchmarks ===");
     let n_obf = if scale.paper { 20 } else { 6 };

@@ -110,15 +110,6 @@ impl Gnn4Ip {
         &self.model
     }
 
-    /// Mutable access to the model (for training).
-    ///
-    /// Clears the embedding cache: cached embeddings are only valid for the
-    /// weights that produced them.
-    pub fn model_mut(&mut self) -> &mut Hw2Vec {
-        self.cache_mut().clear();
-        &mut self.model
-    }
-
     /// The decision boundary δ.
     pub fn delta(&self) -> f32 {
         self.delta
@@ -441,28 +432,6 @@ impl Gnn4Ip {
     pub fn load_library(&mut self, path: impl AsRef<std::path::Path>) -> Result<usize, String> {
         self.load_library_bytes(&read_artifact(path.as_ref())?)
     }
-
-    /// Serializes model + δ to text.
-    pub fn to_text(&self) -> String {
-        format!("delta {}\n{}", self.delta, self.model.to_text())
-    }
-
-    /// Restores a detector serialized by [`Gnn4Ip::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed section.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let (first, rest) = text
-            .split_once('\n')
-            .ok_or_else(|| "empty detector text".to_string())?;
-        let delta = first
-            .strip_prefix("delta ")
-            .ok_or_else(|| format!("bad delta line '{first}'"))?
-            .parse::<f32>()
-            .map_err(|e| format!("bad delta value: {e}"))?;
-        Ok(Self::from_model(Hw2Vec::from_text(rest)?, delta))
-    }
 }
 
 #[cfg(test)]
@@ -496,19 +465,6 @@ mod tests {
     fn hw2vec_embedding_width() {
         let d = Gnn4Ip::with_seed(3);
         assert_eq!(d.hw2vec(INV, None).expect("embeds").len(), 16);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut d = Gnn4Ip::with_seed(4);
-        d.set_delta(0.25);
-        let text = d.to_text();
-        let d2 = Gnn4Ip::from_text(&text).expect("loads");
-        assert_eq!(d2.delta(), 0.25);
-        assert_eq!(
-            d.hw2vec(ADDER, None).expect("a"),
-            d2.hw2vec(ADDER, None).expect("b")
-        );
     }
 
     #[test]
@@ -570,18 +526,10 @@ mod tests {
     }
 
     #[test]
-    fn model_mut_invalidates_the_cache() {
-        let mut d = Gnn4Ip::with_seed(12);
-        let _ = d.hw2vec(INV, None).expect("embeds");
-        assert_eq!(d.cache_stats().entries, 1);
-        let _ = d.model_mut();
-        assert_eq!(d.cache_stats().entries, 0);
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(Gnn4Ip::from_text("").is_err());
-        assert!(Gnn4Ip::from_text("delta zzz\n").is_err());
+    fn from_bytes_rejects_garbage() {
+        assert!(Gnn4Ip::from_bytes(&[]).is_err());
+        let err = Gnn4Ip::from_bytes(b"delta 0.5\nhw2vec-model v1\n").expect_err("text");
+        assert!(err.contains("bad magic"), "{err}");
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Experiment-level training pipeline: corpus → trained detector →
 //! accuracy/timing numbers in the shape of Table I.
 //!
-//! Two entry points:
+//! Both entry points run the same protocol — form pairs, 80/20 split,
+//! train with the [`TrainEngine`], tune δ on the training split, score the
+//! held-out test split:
 //!
-//! - [`run_experiment`] — the v1 protocol, in-memory only.
-//! - [`run_training_pipeline`] — the v2 deployment lifecycle: train with
-//!   the checkpointing [`TrainEngine`] (resuming from an existing
-//!   checkpoint when one is present), tune δ, evaluate, then persist the
-//!   **final artifacts**: a binary detector (model + δ) and the
-//!   embedding library of every corpus design, so later processes serve
-//!   checks without retraining or re-embedding.
+//! - [`run_experiment`] — the protocol alone, in memory.
+//! - [`run_training_pipeline`] — the deployment lifecycle: the protocol
+//!   with periodic checkpoints (resuming from an existing checkpoint when
+//!   one is present), then the **final artifacts**: a binary detector
+//!   (model + δ) and the embedding library of every corpus design, so
+//!   later processes serve checks without retraining or re-embedding.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -17,8 +18,8 @@ use std::time::Instant;
 use gnn4ip_data::{split_pairs, Corpus, LabeledPair};
 use gnn4ip_eval::ConfusionMatrix;
 use gnn4ip_nn::{
-    score_pairs, train, tune_delta, EngineConfig, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel,
-    PairSample, TrainConfig, TrainEngine, TrainReport,
+    score_pairs, tune_delta, EngineConfig, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample,
+    TrainConfig, TrainEngine, TrainReport,
 };
 
 use crate::api::Gnn4Ip;
@@ -73,155 +74,73 @@ pub fn corpus_inputs(corpus: &Corpus) -> Vec<GraphInput> {
 }
 
 /// Runs the full Table-I protocol on a corpus: form pairs, 80/20 split,
-/// train, tune δ on the training split, evaluate on the test split, and
-/// time both phases per sample.
+/// train with the [`TrainEngine`], tune δ on the training split, evaluate
+/// on the test split, and time both phases per sample.
 ///
 /// `max_different` caps the number of no-piracy pairs (the paper uses ~3.5x
 /// more different pairs than similar ones).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the corpus yields no pairs.
+/// Fails when the corpus yields too few pairs for both a training and a
+/// test split.
 pub fn run_experiment(
     corpus: &Corpus,
     model_config: Hw2VecConfig,
     train_config: &TrainConfig,
     max_different: usize,
     seed: u64,
-) -> ExperimentOutcome {
-    let graphs = corpus_inputs(corpus);
-    let pairs = corpus.pairs(max_different, seed);
-    assert!(!pairs.is_empty(), "corpus produced no pairs");
-    let (train_pairs, test_pairs) = split_pairs(&pairs, 0.2, seed ^ 0xDEAD);
-    let train_samples = to_pair_samples(&train_pairs);
-    let test_samples = to_pair_samples(&test_pairs);
-
-    let mut detector = Gnn4Ip::new(model_config, seed);
-    let t0 = Instant::now();
-    let report = train(detector.model_mut(), &graphs, &train_samples, train_config);
-    let train_elapsed = t0.elapsed();
-    let train_samples_seen = train_samples.len() * train_config.epochs;
-    let train_ms_per_sample = train_elapsed.as_secs_f64() * 1e3 / train_samples_seen.max(1) as f64;
-
-    // tune δ on the training split
-    let train_scores = score_pairs(detector.model(), &graphs, &train_samples);
-    let train_labels: Vec<PairLabel> = train_samples.iter().map(|p| p.label).collect();
-    let (delta, _) = tune_delta(&train_scores, &train_labels);
-    detector.set_delta(delta);
-
-    // evaluate + time the test split
-    let t1 = Instant::now();
-    let test_scores = score_pairs(detector.model(), &graphs, &test_samples);
-    let test_elapsed = t1.elapsed();
-    let test_ms_per_sample = test_elapsed.as_secs_f64() * 1e3 / test_samples.len().max(1) as f64;
-
-    let labels: Vec<bool> = test_samples
-        .iter()
-        .map(|p| p.label == PairLabel::Similar)
-        .collect();
-    let cm = ConfusionMatrix::from_scores(&test_scores, &labels, delta);
-    ExperimentOutcome {
-        detector,
-        train_report: report,
-        test_accuracy: cm.accuracy(),
-        test_confusion: cm,
-        delta,
-        train_ms_per_sample,
-        test_ms_per_sample,
-        n_pairs: pairs.len(),
-        n_graphs: graphs.len(),
-        test_scores: test_scores.into_iter().zip(labels).collect(),
-    }
+) -> Result<ExperimentOutcome, String> {
+    let engine = EngineConfig {
+        train: train_config.clone(),
+        ..EngineConfig::default()
+    };
+    run_protocol(corpus, model_config, engine, max_different, seed, None)
 }
 
-/// Where [`run_training_pipeline`] left its artifacts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineArtifacts {
-    /// Binary detector artifact (model + δ).
-    pub detector: PathBuf,
-    /// Binary embedding-library artifact (cached corpus embeddings).
-    pub library: PathBuf,
-    /// Training checkpoint, when periodic checkpointing was enabled.
-    pub checkpoint: Option<PathBuf>,
-}
-
-/// The v2 train/persist lifecycle over a corpus.
-///
-/// Forms pairs and an 80/20 split like [`run_experiment`], then:
-///
-/// 1. **train** with the mini-batch [`TrainEngine`] — when
-///    `engine.checkpoint_every > 0`, checkpoints land in
-///    `artifact_dir/checkpoint.bin`;
-/// 2. **resume** — if that checkpoint already exists (a prior run died or
-///    stopped mid-training), training continues from it instead of
-///    starting over;
-/// 3. tune δ on the training split and evaluate the held-out test split;
-/// 4. write the **final artifacts**: `artifact_dir/detector.bin` and
-///    `artifact_dir/library.bin` (embeddings of every corpus instance,
-///    pinned to the trained weights).
-///
-/// A detector later restored with [`Gnn4Ip::load`] +
-/// [`Gnn4Ip::load_library`] reproduces this run's scores bit-exactly.
-///
-/// When `engine.patience > 0`, a fifth of the training pairs is carved
-/// off as the validation split for early stopping.
-///
-/// # Errors
-///
-/// Returns I/O and serialization failures as text.
-///
-/// # Panics
-///
-/// Panics if the corpus yields no pairs.
-pub fn run_training_pipeline(
+/// The protocol both entry points share. When `resume_from` names an
+/// existing checkpoint written under the same engine config and model
+/// architecture, training continues from it; an incompatible or corrupt
+/// leftover means retrain, not fail.
+fn run_protocol(
     corpus: &Corpus,
     model_config: Hw2VecConfig,
     engine: EngineConfig,
     max_different: usize,
     seed: u64,
-    artifact_dir: &Path,
-) -> Result<(ExperimentOutcome, PipelineArtifacts), String> {
-    std::fs::create_dir_all(artifact_dir)
-        .map_err(|e| format!("creating {}: {e}", artifact_dir.display()))?;
+    resume_from: Option<&Path>,
+) -> Result<ExperimentOutcome, String> {
     let graphs = corpus_inputs(corpus);
     let pairs = corpus.pairs(max_different, seed);
-    assert!(!pairs.is_empty(), "corpus produced no pairs");
     let (train_pairs, test_pairs) = split_pairs(&pairs, 0.2, seed ^ 0xDEAD);
-    let all_train = to_pair_samples(&train_pairs);
     let test_samples = to_pair_samples(&test_pairs);
     let (train_samples, val_samples) = if engine.patience > 0 {
         let (t, v) = split_pairs(&train_pairs, 0.2, seed ^ 0xBEEF);
         (to_pair_samples(&t), Some(to_pair_samples(&v)))
     } else {
-        (all_train, None)
+        (to_pair_samples(&train_pairs), None)
     };
+    if train_samples.is_empty() || test_samples.is_empty() {
+        return Err(format!(
+            "corpus has too few pairs for a train/test split ({} train, {} test); \
+             add designs or instances",
+            train_samples.len(),
+            test_samples.len()
+        ));
+    }
 
-    let mut engine_cfg = engine;
-    let checkpoint = if engine_cfg.checkpoint_every > 0 {
-        let path = engine_cfg
-            .checkpoint_path
-            .get_or_insert_with(|| artifact_dir.join("checkpoint.bin"))
-            .clone();
-        Some(path)
-    } else {
-        None
-    };
-
-    // train → checkpoint → (resume) — pick up a prior interrupted run
-    // when its checkpoint is compatible with this config AND this model
-    // architecture (the engine fingerprint cannot see the architecture;
-    // a checkpoint from different model hyper-parameters must retrain,
-    // not silently continue the old model). Incompatible or corrupt
-    // leftovers mean retrain, not fail.
     let t0 = Instant::now();
-    let resumed = match &checkpoint {
-        Some(path) if path.exists() => TrainEngine::resume(path, engine_cfg.clone())
+    // the engine fingerprint cannot see the architecture: a checkpoint
+    // from different model hyper-parameters must retrain, not silently
+    // continue the old model
+    let resumed = match resume_from {
+        Some(path) if path.exists() => TrainEngine::resume(path, engine.clone())
             .ok()
             .filter(|t| t.model().config() == &model_config),
         _ => None,
     };
-    let mut trainer = resumed
-        .unwrap_or_else(|| TrainEngine::new(Hw2Vec::new(model_config, seed), engine_cfg.clone()));
+    let mut trainer =
+        resumed.unwrap_or_else(|| TrainEngine::new(Hw2Vec::new(model_config, seed), engine));
     let prior_epochs = trainer.next_epoch();
     let report = trainer
         .run(&graphs, &train_samples, val_samples.as_deref())?
@@ -241,30 +160,14 @@ pub fn run_training_pipeline(
     let t1 = Instant::now();
     let test_scores = score_pairs(detector.model(), &graphs, &test_samples);
     let test_elapsed = t1.elapsed();
-    let test_ms_per_sample = test_elapsed.as_secs_f64() * 1e3 / test_samples.len().max(1) as f64;
-
-    // final artifacts: detector, then the embedding library of every
-    // corpus instance (runs through the cached batch path, so the
-    // library holds exactly one embedding per distinct design).
-    let detector_path = artifact_dir.join("detector.bin");
-    detector.save(&detector_path)?;
-    let sources: Vec<(&str, Option<&str>)> = corpus
-        .instances
-        .iter()
-        .map(|i| (i.source.as_str(), None))
-        .collect();
-    detector
-        .embed_many(&sources)
-        .map_err(|e| format!("embedding corpus for the library artifact: {e}"))?;
-    let library_path = artifact_dir.join("library.bin");
-    detector.save_library(&library_path)?;
+    let test_ms_per_sample = test_elapsed.as_secs_f64() * 1e3 / test_samples.len() as f64;
 
     let labels: Vec<bool> = test_samples
         .iter()
         .map(|p| p.label == PairLabel::Similar)
         .collect();
     let cm = ConfusionMatrix::from_scores(&test_scores, &labels, delta);
-    let outcome = ExperimentOutcome {
+    Ok(ExperimentOutcome {
         detector,
         train_report: report,
         test_accuracy: cm.accuracy(),
@@ -275,7 +178,84 @@ pub fn run_training_pipeline(
         n_pairs: pairs.len(),
         n_graphs: graphs.len(),
         test_scores: test_scores.into_iter().zip(labels).collect(),
-    };
+    })
+}
+
+/// Where [`run_training_pipeline`] left its artifacts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PipelineArtifacts {
+    /// Binary detector artifact (model + δ).
+    pub detector: PathBuf,
+    /// Binary embedding-library artifact (cached corpus embeddings).
+    pub library: PathBuf,
+    /// Training checkpoint, when periodic checkpointing was enabled.
+    pub checkpoint: Option<PathBuf>,
+}
+
+/// The train/persist lifecycle over a corpus: the [`run_experiment`]
+/// protocol under a full [`EngineConfig`], plus
+///
+/// 1. **checkpoint** — when `engine.checkpoint_every > 0`, checkpoints
+///    land in `artifact_dir/checkpoint.bin` (unless
+///    `engine.checkpoint_path` names another place);
+/// 2. **resume** — if that checkpoint already exists (a prior run died or
+///    stopped mid-training), training continues from it instead of
+///    starting over;
+/// 3. the **final artifacts**: `artifact_dir/detector.bin` and
+///    `artifact_dir/library.bin` (embeddings of every corpus instance,
+///    pinned to the trained weights).
+///
+/// A detector later restored with [`Gnn4Ip::load`] +
+/// [`Gnn4Ip::load_library`] reproduces this run's scores bit-exactly.
+///
+/// When `engine.patience > 0`, a fifth of the training pairs is carved
+/// off as the validation split for early stopping.
+///
+/// # Errors
+///
+/// Returns I/O and serialization failures as text, and fails like
+/// [`run_experiment`] on a corpus with too few pairs.
+pub fn run_training_pipeline(
+    corpus: &Corpus,
+    model_config: Hw2VecConfig,
+    mut engine: EngineConfig,
+    max_different: usize,
+    seed: u64,
+    artifact_dir: &Path,
+) -> Result<(ExperimentOutcome, PipelineArtifacts), String> {
+    std::fs::create_dir_all(artifact_dir)
+        .map_err(|e| format!("creating {}: {e}", artifact_dir.display()))?;
+    let checkpoint = (engine.checkpoint_every > 0).then(|| {
+        engine
+            .checkpoint_path
+            .get_or_insert_with(|| artifact_dir.join("checkpoint.bin"))
+            .clone()
+    });
+    let outcome = run_protocol(
+        corpus,
+        model_config,
+        engine,
+        max_different,
+        seed,
+        checkpoint.as_deref(),
+    )?;
+
+    // final artifacts: detector, then the embedding library of every
+    // corpus instance (runs through the cached batch path, so the
+    // library holds exactly one embedding per distinct design).
+    let detector_path = artifact_dir.join("detector.bin");
+    outcome.detector.save(&detector_path)?;
+    let sources: Vec<(&str, Option<&str>)> = corpus
+        .instances
+        .iter()
+        .map(|i| (i.source.as_str(), None))
+        .collect();
+    outcome
+        .detector
+        .embed_many(&sources)
+        .map_err(|e| format!("embedding corpus for the library artifact: {e}"))?;
+    let library_path = artifact_dir.join("library.bin");
+    outcome.detector.save_library(&library_path)?;
     Ok((
         outcome,
         PipelineArtifacts {
@@ -309,7 +289,8 @@ mod tests {
             &quick_train_config(),
             150,
             1,
-        );
+        )
+        .expect("experiment");
         assert!(
             out.test_accuracy >= 0.8,
             "test accuracy {} (cm {:?})",
@@ -330,8 +311,31 @@ mod tests {
             &quick_train_config(),
             100,
             2,
-        );
+        )
+        .expect("experiment");
         assert!((-1.0..=1.0).contains(&out.delta), "delta {}", out.delta);
+    }
+
+    #[test]
+    fn too_few_pairs_for_a_test_split_is_an_error() {
+        // 1 design x 2 instances = 1 pair (no test split); 0 designs = none
+        for n_designs in [0, 1] {
+            let spec = CorpusSpec {
+                n_designs,
+                instances_per_design: 2,
+                ..CorpusSpec::rtl_small()
+            };
+            let corpus = Corpus::build(&spec).expect("corpus");
+            let err = run_experiment(
+                &corpus,
+                Hw2VecConfig::default(),
+                &quick_train_config(),
+                10,
+                4,
+            )
+            .expect_err("no test split");
+            assert!(err.contains("too few"), "{err}");
+        }
     }
 
     #[test]

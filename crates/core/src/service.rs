@@ -282,8 +282,12 @@ struct LiveStats {
 }
 
 impl LiveStats {
+    /// Copies the samples under the lock and summarizes after releasing
+    /// it, so workers recording latencies never wait on the sort.
     fn latency(&self) -> LatencySummary {
-        let lats = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
+        let lats = guard.clone();
+        drop(guard);
         LatencySummary::from_samples(&lats)
     }
 }

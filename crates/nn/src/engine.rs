@@ -1,15 +1,14 @@
-//! Training engine v2: mini-batch data-parallel training with gradient
-//! accumulation, an LR schedule, early stopping, and checkpoint/resume.
+//! The siamese pair trainer: mini-batch data-parallel training with
+//! gradient accumulation, an LR schedule, early stopping, and
+//! checkpoint/resume.
 //!
-//! The v1 [`train`](crate::train) loop opens one tape **per pair** —
-//! every pair re-clones all parameters onto a fresh tape and runs its own
-//! backward traversal. The engine instead records each worker's share of
-//! a mini-batch on **one shared tape**: parameters are injected once per
-//! worker per micro-batch, pair losses are summed into a single root, and
-//! one backward pass yields the summed gradients. That removes the
-//! per-pair parameter clones and backward bookkeeping even on a single
-//! thread; with `threads > 1` the micro-batch additionally fans out
-//! across workers (per-thread tapes, summed gradients).
+//! Each worker records its share of a mini-batch on **one shared tape**:
+//! parameters are injected once per worker per micro-batch, pair losses
+//! are summed into a single root, and one backward pass yields the summed
+//! gradients — the same mean gradient a tape per pair would give, without
+//! the per-pair parameter clones and backward bookkeeping. With
+//! `threads > 1` the micro-batch additionally fans out across workers
+//! (per-thread tapes, summed gradients).
 //!
 //! Every per-epoch decision (shuffle order, dropout masks) is a pure
 //! function of `(seed, epoch, batch, worker)`, so a run resumed from a
@@ -91,7 +90,7 @@ impl LrSchedule {
     }
 }
 
-/// Configuration of the v2 training engine.
+/// Configuration of the training engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Core hyper-parameters (batch size, LR, epochs, seed, threads, …).
@@ -221,7 +220,7 @@ struct BestState {
     params: ParamStore,
 }
 
-/// The v2 trainer: owns the model and optimizer across epochs so
+/// The trainer: owns the model and optimizer across epochs so
 /// training can pause at a checkpoint and resume bit-exactly.
 ///
 /// # Examples
@@ -678,68 +677,10 @@ fn microbatch_gradients(
 mod tests {
     use super::*;
     use crate::model::Hw2VecConfig;
+    use crate::trainer::tests::toy_dataset;
     use crate::trainer::{score_pairs, tune_delta};
     use crate::PairLabel;
-    use gnn4ip_dfg::{Dfg, NodeKind};
-
-    fn family_a(variant: u64) -> GraphInput {
-        let mut g = Dfg::new(format!("a{variant}"));
-        let y = g.add_node(NodeKind::Output, "y");
-        let mut prev = y;
-        for i in 0..4 + (variant % 3) {
-            let op = g.add_node(NodeKind::Xor, format!("x{i}"));
-            g.add_edge(prev, op);
-            prev = op;
-        }
-        let a = g.add_node(NodeKind::Input, "a");
-        g.add_edge(prev, a);
-        g.add_root(y);
-        GraphInput::from_dfg(&g)
-    }
-
-    fn family_b(variant: u64) -> GraphInput {
-        let mut g = Dfg::new(format!("b{variant}"));
-        let y = g.add_node(NodeKind::Output, "y");
-        let add = g.add_node(NodeKind::Add, "add");
-        g.add_edge(y, add);
-        for i in 0..3 + (variant % 2) {
-            let inp = g.add_node(NodeKind::Input, format!("i{i}"));
-            let m = g.add_node(NodeKind::Mul, format!("m{i}"));
-            g.add_edge(add, m);
-            g.add_edge(m, inp);
-        }
-        g.add_root(y);
-        GraphInput::from_dfg(&g)
-    }
-
-    fn toy_dataset() -> (Vec<GraphInput>, Vec<PairSample>) {
-        let graphs: Vec<GraphInput> = (0..4).map(family_a).chain((0..4).map(family_b)).collect();
-        let mut pairs = Vec::new();
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                pairs.push(PairSample {
-                    a: i,
-                    b: j,
-                    label: PairLabel::Similar,
-                });
-                pairs.push(PairSample {
-                    a: 4 + i,
-                    b: 4 + j,
-                    label: PairLabel::Similar,
-                });
-            }
-        }
-        for i in 0..4 {
-            for j in 0..4 {
-                pairs.push(PairSample {
-                    a: i,
-                    b: 4 + j,
-                    label: PairLabel::Different,
-                });
-            }
-        }
-        (graphs, pairs)
-    }
+    use gnn4ip_tensor::GradAccum;
 
     fn quick_cfg(epochs: usize) -> EngineConfig {
         EngineConfig {
@@ -974,18 +915,38 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Reference gradients: one tape per pair, averaged over `pairs` — the
+    /// formulation the shared-tape micro-batch must reproduce. Eval mode,
+    /// so only meaningful for dropout-free models.
+    fn per_pair_tape_gradients(
+        model: &Hw2Vec,
+        graphs: &[GraphInput],
+        pairs: &[PairSample],
+        margin: f32,
+    ) -> Vec<Matrix> {
+        let mut acc = GradAccum::zeros_like(model.params());
+        for pair in pairs {
+            let tape = Tape::new();
+            let vars = model.params().inject(&tape);
+            let ha = model.forward(&tape, &vars, &graphs[pair.a], &mut Mode::Eval);
+            let hb = model.forward(&tape, &vars, &graphs[pair.b], &mut Mode::Eval);
+            let loss = cosine_embedding_loss(ha.cosine(hb), pair.label, margin);
+            acc.absorb(&tape.backward(loss), &vars);
+        }
+        acc.means()
+    }
+
     #[test]
     fn shared_tape_gradients_match_v1_per_pair_tapes() {
-        // the engine's one-tape-per-worker gradients must agree with the v1
-        // per-pair-tape path on a dropout-free model (dropout draws differ
-        // by construction between the two).
+        // one full-batch SGD step of the engine must land where the same
+        // step on per-pair-tape gradients lands (dropout off: the two draw
+        // masks differently by construction)
         let (graphs, pairs) = toy_dataset();
         let cfg0 = Hw2VecConfig {
             dropout: 0.0,
             ..Hw2VecConfig::default()
         };
-        let mut v1 = Hw2Vec::new(cfg0.clone(), 68);
-        let mut v2 = v1.clone();
+        let mut reference = Hw2Vec::new(cfg0, 68);
         let tc = TrainConfig {
             epochs: 1,
             batch_size: pairs.len(),
@@ -995,17 +956,20 @@ mod tests {
             grad_clip: 0.0,
             ..TrainConfig::default()
         };
-        crate::trainer::train(&mut v1, &graphs, &pairs, &tc);
         let mut engine = TrainEngine::new(
-            v2.clone(),
+            reference.clone(),
             EngineConfig {
-                train: tc,
+                train: tc.clone(),
                 ..EngineConfig::default()
             },
         );
+        let grads = per_pair_tape_gradients(&reference, &graphs, &pairs, tc.margin);
+        Sgd::new(tc.lr).step(reference.params_mut(), &grads);
         engine.run(&graphs, &pairs, None).expect("runs");
-        v2 = engine.into_model();
-        let (e1, e2) = (v1.embed(&graphs[0]), v2.embed(&graphs[0]));
+        let (e1, e2) = (
+            reference.embed(&graphs[0]),
+            engine.model().embed(&graphs[0]),
+        );
         for (a, b) in e1.iter().zip(&e2) {
             assert!((a - b).abs() < 1e-5, "{e1:?} vs {e2:?}");
         }

@@ -156,11 +156,16 @@ impl ArtifactInfo {
 ///
 /// # Errors
 ///
-/// Returns a description of the first problem: short input, checksum
-/// mismatch, wrong magic, truncated or non-UTF-8 kind tag.
+/// Returns a description of the first problem: short input, wrong
+/// magic, checksum mismatch, truncated or non-UTF-8 kind tag.
 pub fn describe_artifact(bytes: &[u8]) -> Result<ArtifactInfo, String> {
     if bytes.len() < MAGIC.len() + 2 + 2 + 8 {
         return Err(format!("artifact too short ({} bytes)", bytes.len()));
+    }
+    // magic before checksum: a file that is not an artifact at all (a
+    // text model, a Verilog source) is reported as such
+    if bytes[..4] != MAGIC {
+        return Err("bad magic: not a gnn4ip artifact".to_string());
     }
     let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
     // g4check: allow(unwrap-in-lib): split_at(len - 8) yields exactly 8 bytes; the length was checked above
@@ -170,9 +175,6 @@ pub fn describe_artifact(bytes: &[u8]) -> Result<ArtifactInfo, String> {
         return Err(format!(
             "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
         ));
-    }
-    if body[..4] != MAGIC {
-        return Err("bad magic: not a gnn4ip artifact".to_string());
     }
     let version = u16::from_le_bytes([body[4], body[5]]);
     let klen = u16::from_le_bytes([body[6], body[7]]) as usize;
@@ -355,6 +357,11 @@ impl<'a> BinReader<'a> {
         if bytes.len() < MAGIC.len() + 2 + 2 + 8 {
             return Err(format!("artifact too short ({} bytes)", bytes.len()));
         }
+        // magic before checksum: a file that is not an artifact at all (a
+        // text model, a Verilog source) is reported as such
+        if bytes[..4] != MAGIC {
+            return Err("bad magic: not a gnn4ip artifact".to_string());
+        }
         let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
         // g4check: allow(unwrap-in-lib): split_at(len - 8) yields exactly 8 bytes; the length was checked above
         let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
@@ -363,9 +370,6 @@ impl<'a> BinReader<'a> {
             return Err(format!(
                 "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
             ));
-        }
-        if body[..4] != MAGIC {
-            return Err("bad magic: not a gnn4ip artifact".to_string());
         }
         let version = u16::from_le_bytes([body[4], body[5]]);
         if version > max_version {

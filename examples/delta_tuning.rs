@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         200,
         3,
-    );
+    )?;
     let scores: Vec<f32> = outcome.test_scores.iter().map(|(s, _)| *s).collect();
     let labels: Vec<bool> = outcome.test_scores.iter().map(|(_, l)| *l).collect();
 

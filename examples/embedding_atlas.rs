@@ -11,7 +11,9 @@
 use gnn4ip::data::{designs::processors, vary_design, VariationConfig};
 use gnn4ip::dfg::graph_from_verilog;
 use gnn4ip::eval::{cluster_separation, pca, tsne, EmbeddingIndex, TsneConfig};
-use gnn4ip::nn::{GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample, TrainConfig};
+use gnn4ip::nn::{
+    EngineConfig, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample, TrainConfig, TrainEngine,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let per_design = 12usize;
@@ -47,18 +49,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             });
         }
     }
-    let mut model = Hw2Vec::new(Hw2VecConfig::default(), 17);
-    gnn4ip::nn::train(
-        &mut model,
-        &graphs,
-        &pairs,
-        &TrainConfig {
-            epochs: 8,
-            batch_size: 32,
-            lr: 0.01,
-            ..TrainConfig::default()
+    let mut engine = TrainEngine::new(
+        Hw2Vec::new(Hw2VecConfig::default(), 17),
+        EngineConfig {
+            train: TrainConfig {
+                epochs: 8,
+                batch_size: 32,
+                lr: 0.01,
+                ..TrainConfig::default()
+            },
+            ..EngineConfig::default()
         },
     );
+    engine.run(&graphs, &pairs, None)?;
+    let model = engine.into_model();
 
     // One batched, tape-free pass over all instances.
     let embeddings = model.embed_batch(&graphs);

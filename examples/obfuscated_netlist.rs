@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         120,
         7,
-    );
+    )?;
     println!(
         "  netlist test accuracy {:.1}% (delta {:+.3})",
         100.0 * outcome.test_accuracy,

@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         150,
         42,
-    );
+    )?;
     println!(
         "  test accuracy {:.1}% at tuned delta {:+.3}",
         100.0 * outcome.test_accuracy,

@@ -23,16 +23,16 @@
 //! Pairwise workflow (the original demo driver):
 //!
 //! ```text
-//! gnn4ip train --out detector.txt [--netlist] [--designs N] [--instances K] [--epochs E]
-//! gnn4ip check A.v B.v [--model detector.txt] [--top1 NAME] [--top2 NAME]
-//! gnn4ip scan SUSPECT.v LIB1.v [LIB2.v ...] [--model detector.txt]
-//! gnn4ip embed A.v [--model detector.txt] [--top NAME]
+//! gnn4ip train --out detector.bin [--netlist] [--designs N] [--instances K] [--epochs E]
+//! gnn4ip check A.v B.v [--model detector.bin] [--top1 NAME] [--top2 NAME]
+//! gnn4ip scan SUSPECT.v LIB1.v [LIB2.v ...] [--model detector.bin]
+//! gnn4ip embed A.v [--model detector.bin] [--top NAME]
 //! gnn4ip dfg A.v [--top NAME] [--dot OUT.dot]
 //! ```
 //!
-//! `--model` accepts both the binary `gnn4ip-detector` artifact and the
-//! legacy text format. Without it, an untrained (structure-only)
-//! detector is used — fine for demos, not for real screening.
+//! `--model` takes a binary `gnn4ip-detector` artifact, as written by
+//! `train`. Without it, an untrained (structure-only) detector is used —
+//! fine for demos, not for real screening.
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -43,7 +43,7 @@ use gnn4ip::data::{Corpus, CorpusSpec, Level, SynthSize};
 use gnn4ip::dfg::graph_with_report;
 use gnn4ip::eval::SHARD_INDEX_KIND;
 use gnn4ip::nn::{Hw2VecConfig, TrainConfig};
-use gnn4ip::tensor::{describe_artifact, BinReader, FORMAT_VERSION, MAGIC};
+use gnn4ip::tensor::{describe_artifact, BinReader, FORMAT_VERSION};
 use gnn4ip::{
     run_experiment, run_service, AuditConfig, AuditPipeline, AuditSource, Gnn4Ip, IpLibrary,
     ServiceConfig,
@@ -88,15 +88,7 @@ fn positional(args: &[String]) -> Vec<&str> {
 
 fn load_detector(args: &[String]) -> Result<Gnn4Ip, String> {
     match flag_value(args, "--model") {
-        Some(path) => {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read model '{path}': {e}"))?;
-            if bytes.starts_with(&MAGIC) {
-                Gnn4Ip::load(path)
-            } else {
-                Gnn4Ip::from_text(&String::from_utf8_lossy(&bytes))
-            }
-        }
+        Some(path) => Gnn4Ip::load(path).map_err(|e| format!("cannot load model '{path}': {e}")),
         None => {
             eprintln!("note: no --model given; using an untrained detector");
             Ok(Gnn4Ip::with_seed(42))
@@ -161,7 +153,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let rest = &args[1.min(args.len())..];
     match cmd {
-        "train" => train(rest),
+        "train" => train_detector(rest),
         "check" => check(rest),
         "scan" => scan(rest),
         "embed" => embed(rest),
@@ -183,10 +175,10 @@ fn run(args: &[String]) -> Result<(), String> {
                  gnn4ip inspect FILE...\n  \
                  gnn4ip gc CHECKPOINT_DIR [--dry-run]\n\n\
                  pairwise workflow:\n  \
-                 gnn4ip train --out detector.txt [--netlist] [--designs N] [--instances K] [--epochs E]\n  \
-                 gnn4ip check A.v B.v [--model detector.txt] [--top1 NAME] [--top2 NAME]\n  \
-                 gnn4ip scan SUSPECT.v LIB1.v [LIB2.v ...] [--model detector.txt]\n  \
-                 gnn4ip embed A.v [--model detector.txt] [--top NAME]\n  \
+                 gnn4ip train --out detector.bin [--netlist] [--designs N] [--instances K] [--epochs E]\n  \
+                 gnn4ip check A.v B.v [--model detector.bin] [--top1 NAME] [--top2 NAME]\n  \
+                 gnn4ip scan SUSPECT.v LIB1.v [LIB2.v ...] [--model detector.bin]\n  \
+                 gnn4ip embed A.v [--model detector.bin] [--top NAME]\n  \
                  gnn4ip dfg A.v [--top NAME] [--dot OUT.dot]\n\n\
                  PATH arguments accept files and directories (recursive .v discovery)."
             );
@@ -473,8 +465,8 @@ fn print_audit_header(bytes: &[u8]) -> Result<(), String> {
     print_shard_header(nested)
 }
 
-fn train(args: &[String]) -> Result<(), String> {
-    let out_path = flag_value(args, "--out").unwrap_or("detector.txt");
+fn train_detector(args: &[String]) -> Result<(), String> {
+    let out_path = flag_value(args, "--out").unwrap_or("detector.bin");
     let netlist = args.iter().any(|a| a == "--netlist");
     let parse_n = |name: &str, default: usize| -> Result<usize, String> {
         match flag_value(args, name) {
@@ -506,13 +498,15 @@ fn train(args: &[String]) -> Result<(), String> {
         lr: 0.005,
         ..TrainConfig::default()
     };
-    let outcome = run_experiment(&corpus, Hw2VecConfig::default(), &train_cfg, 1000, 42);
+    let outcome = run_experiment(&corpus, Hw2VecConfig::default(), &train_cfg, 1000, 42)?;
     eprintln!(
         "held-out accuracy {:.1}% at delta {:+.3}",
         100.0 * outcome.test_accuracy,
         outcome.delta
     );
-    std::fs::write(out_path, outcome.detector.to_text())
+    outcome
+        .detector
+        .save(out_path)
         .map_err(|e| format!("cannot write '{out_path}': {e}"))?;
     println!("detector written to {out_path}");
     Ok(())

@@ -30,7 +30,9 @@ fn quick_train() -> TrainConfig {
 }
 
 fn accuracy_with(config: Hw2VecConfig, corpus: &Corpus, seed: u64) -> f64 {
-    run_experiment(corpus, config, &quick_train(), 60, seed).test_accuracy
+    run_experiment(corpus, config, &quick_train(), 60, seed)
+        .expect("experiment")
+        .test_accuracy
 }
 
 #[test]
@@ -117,7 +119,7 @@ fn sgd_also_learns() {
         batch_size: 16,
         ..TrainConfig::default()
     };
-    let out = run_experiment(&corpus, Hw2VecConfig::default(), &cfg, 60, 13);
+    let out = run_experiment(&corpus, Hw2VecConfig::default(), &cfg, 60, 13).expect("experiment");
     assert!(
         out.test_accuracy >= 0.6,
         "plain SGD failed to learn: {}",

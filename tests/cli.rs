@@ -91,3 +91,75 @@ fn audit_and_serve_answer_a_design_without_outputs_with_an_error() {
     assert_eq!(lines[2], "OK bye");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn train_on_a_corpus_too_small_to_split_is_an_error() {
+    let dir = workdir("train-tiny");
+    // 0 and 1 pairs used to panic; 2 pairs left an empty test split and
+    // reported a held-out accuracy of 0.0%
+    for (designs, instances) in [("0", "5"), ("1", "1"), ("2", "1"), ("1", "2")] {
+        let args = [
+            "train",
+            "--designs",
+            designs,
+            "--instances",
+            instances,
+            "--epochs",
+            "1",
+            "--out",
+            "d.bin",
+        ];
+        let out = gnn4ip(&dir, &args, "");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}\n{err}");
+        assert!(err.lines().any(|l| l.starts_with("error: ")), "{err}");
+        assert!(!err.contains("accuracy"), "{err}");
+        assert!(!dir.join("d.bin").exists(), "{args:?} wrote a detector");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trained_detector_is_a_binary_artifact_that_check_loads() {
+    let dir = workdir("train-check");
+    let args = [
+        "train",
+        "--designs",
+        "3",
+        "--instances",
+        "2",
+        "--epochs",
+        "1",
+        "--out",
+        "d.bin",
+    ];
+    let train = gnn4ip(&dir, &args, "");
+    assert!(train.status.success(), "{}", stderr(&train));
+    let bytes = std::fs::read(dir.join("d.bin")).expect("detector written");
+    assert!(bytes.starts_with(b"G4IP"), "not a G4IP artifact");
+
+    std::fs::write(dir.join("b.v"), INV.replace("inv", "inv2")).expect("write b.v");
+    let check = gnn4ip(&dir, &["check", "inv.v", "b.v", "--model", "d.bin"], "");
+    assert!(check.status.success(), "{}", stderr(&check));
+    assert!(
+        stdout(&check).starts_with("similarity "),
+        "{}",
+        stdout(&check)
+    );
+
+    // a text detector from an older build is not an artifact
+    std::fs::write(dir.join("d.txt"), "delta 0.5\nhw2vec-model v1\n").expect("write d.txt");
+    let check = gnn4ip(&dir, &["check", "inv.v", "b.v", "--model", "d.txt"], "");
+    let err = stderr(&check);
+    assert_eq!(check.status.code(), Some(1), "{err}");
+    assert!(
+        err.lines()
+            .any(|l| l.starts_with("error: ") && l.contains("bad magic")),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -75,8 +75,8 @@ fn obfuscated_netlist_embeds_close_to_original() {
 #[test]
 fn detector_roundtrips_through_serialization() {
     let detector = Gnn4Ip::with_seed(5);
-    let text = detector.to_text();
-    let restored = Gnn4Ip::from_text(&text).expect("loads");
+    let bytes = detector.to_bytes();
+    let restored = Gnn4Ip::from_bytes(&bytes).expect("loads");
     let g = graph_from_verilog(
         "module m(input a, input b, output y); assign y = a ^ b; endmodule",
         None,

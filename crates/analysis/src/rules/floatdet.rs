@@ -1,7 +1,8 @@
 //! The `float-determinism` graph rule.
 //!
 //! The serving pillar's core guarantee is bit-identical scores across
-//! the flat, sharded, quantized, and batched paths. Float addition is
+//! the sharded, quantized, and batched paths and the exhaustive
+//! reference scan the tests compare them with. Float addition is
 //! not associative, so that guarantee survives only while every float
 //! reduction in the bit-identity-critical modules keeps a *fixed*
 //! association order. This rule flags reduction sites (iterator

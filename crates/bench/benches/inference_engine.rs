@@ -9,14 +9,13 @@
 //! 2. **batch-size scaling** — `embed_many` over m distinct designs should
 //!    scale sublinearly in wall-clock as workers fan out.
 //! 3. **index query** — a top-k query against a corpus-scale
-//!    `EmbeddingIndex` stays in the microsecond range, and the full
-//!    pairwise Gram matrix goes through the blocked gemm.
+//!    `ShardedEmbeddingIndex` stays in the microsecond range.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use gnn4ip_core::Gnn4Ip;
 use gnn4ip_data::{designs::synth_design, SynthSize};
-use gnn4ip_eval::EmbeddingIndex;
+use gnn4ip_eval::ShardedEmbeddingIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -63,7 +62,7 @@ fn bench_batch_scaling(c: &mut Criterion) {
 fn bench_index(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(99);
     let dim = 16usize;
-    let mut index = EmbeddingIndex::new(dim);
+    let mut index = ShardedEmbeddingIndex::new(dim, 256);
     for i in 0..4096 {
         let e: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         index.insert(&e, i % 64);
@@ -72,15 +71,6 @@ fn bench_index(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference_engine/index");
     group.bench_function("query_top10_of_4096", |bench| {
         bench.iter(|| std::hint::black_box(index.query(&query, 10)))
-    });
-    let small: Vec<Vec<f32>> = (0..512)
-        .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
-        .collect();
-    let labels: Vec<usize> = (0..512).map(|i| i % 8).collect();
-    let small_index = EmbeddingIndex::from_embeddings(&small, &labels);
-    group.sample_size(10);
-    group.bench_function("pairwise_gram_512", |bench| {
-        bench.iter(|| std::hint::black_box(small_index.pairwise_similarity()))
     });
     group.finish();
 }

@@ -10,8 +10,8 @@
 //!   content-addressed [`EmbeddingCache`].
 //! - [`run_experiment`] — the Table-I protocol: corpus → train → tune δ →
 //!   held-out confusion matrix + per-sample timing.
-//! - [`IpLibrary`] — portfolio screening: embed owned cores once, scan each
-//!   incoming design against all of them.
+//! - [`AuditPipeline`] — portfolio screening: embed owned cores once into a
+//!   sharded index, then audit each incoming design against all of them.
 //!
 //! # Examples
 //!
@@ -47,7 +47,6 @@ mod api;
 mod audit;
 mod cache;
 mod experiment;
-mod library;
 mod serve;
 mod service;
 
@@ -62,6 +61,5 @@ pub use experiment::{
     corpus_inputs, run_experiment, run_training_pipeline, to_pair_samples, ExperimentOutcome,
     PipelineArtifacts,
 };
-pub use library::{IpLibrary, LibraryMatch};
 pub use serve::{Publication, PublicationSlot};
 pub use service::{run_service, BoundedQueue, LatencySummary, ServiceConfig, ServiceReport};

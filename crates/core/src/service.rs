@@ -239,13 +239,15 @@ impl<T> BoundedQueue<T> {
 /// Tuning knobs of [`run_service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Audit worker (reader) threads.
+    /// Audit worker (reader) threads. `0` is treated as `1`.
     pub workers: usize,
     /// Capacity of the bounded request queue — the number of in-flight
     /// audits at which the parser stops consuming input (backpressure).
+    /// `0` is treated as `1`.
     pub queue_capacity: usize,
     /// Most audit requests one worker drains into a single
     /// [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) batch.
+    /// `0` is treated as `1`.
     pub max_batch: usize,
     /// Most bytes one AUDIT/INGEST body may hold. A dot-stuffed body
     /// arrives before the handler sees any of it, so without this cap a
@@ -450,7 +452,8 @@ pub fn run_service<R: BufRead, W: Write + Send>(
 ) -> std::io::Result<ServiceReport> {
     let workers = config.workers.max(1);
     let max_batch = config.max_batch.max(1);
-    let queue: Arc<BoundedQueue<AuditJob>> = Arc::new(BoundedQueue::new(config.queue_capacity));
+    let queue_capacity = config.queue_capacity.max(1);
+    let queue: Arc<BoundedQueue<AuditJob>> = Arc::new(BoundedQueue::new(queue_capacity));
     let stats = Arc::new(LiveStats::default());
     let slot = pipeline.serving_slot();
     // workers must always have a snapshot to serve, even before the
@@ -820,6 +823,40 @@ mod tests {
         );
         assert_eq!(lines[5], "OK bye");
         assert_eq!((report.audits, report.rejected), (1, 2));
+    }
+
+    /// Zero workers, queue capacity, and batch size are clamped to one
+    /// instead of panicking in `BoundedQueue::new`.
+    #[test]
+    fn zero_sized_config_is_clamped_to_one() {
+        let mut input = String::new();
+        input.push_str(&format!("INGEST inv\n{INV}\n.\n"));
+        input.push_str("PUBLISH\n");
+        input.push_str(&format!("AUDIT a\n{INV}\n.\n"));
+        input.push_str(&format!("AUDIT b\n{XOR2}\n.\n"));
+        input.push_str("SHUTDOWN\n");
+        let mut pipeline = service_pipeline();
+        let mut out: Vec<u8> = Vec::new();
+        let report = run_service(
+            &mut pipeline,
+            &ServiceConfig {
+                workers: 0,
+                queue_capacity: 0,
+                max_batch: 0,
+                ..ServiceConfig::default()
+            },
+            input.as_bytes(),
+            &mut out,
+        )
+        .expect("service runs");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5, "one response per request:\n{text}");
+        assert!(lines[2].starts_with("VERDICT a matches=1 "), "{text}");
+        assert!(lines[3].starts_with("VERDICT b matches=1 "), "{text}");
+        assert_eq!(lines[4], "OK bye");
+        assert_eq!(report.audits, 2);
+        assert_eq!(report.queue_high_water, 1);
     }
 
     /// Workers serve the last *published* snapshot: an ingest without a

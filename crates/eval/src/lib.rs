@@ -30,7 +30,7 @@ mod sharded;
 mod tsne;
 
 pub use confusion::ConfusionMatrix;
-pub use index::{EmbeddingIndex, QueryHit};
+pub use index::QueryHit;
 pub use manifest::{
     gc_checkpoint_dir, shard_file_name, CheckpointReport, GcReport, ManifestError,
     CORPUS_MANIFEST_KIND, CORPUS_SHARD_KIND, MANIFEST_FILE,

@@ -6,7 +6,11 @@
 //! each instance, how many of its k nearest neighbors (by cosine) share its
 //! design label?
 
-use crate::index::EmbeddingIndex;
+use crate::sharded::ShardedEmbeddingIndex;
+
+/// Rows per shard of the throwaway index: the `AuditConfig` default. The
+/// result does not depend on it; only the block size of the scan does.
+const SHARD_CAPACITY: usize = 256;
 
 /// Mean precision@k of same-label retrieval: for each embedding, the
 /// fraction of its `k` nearest neighbors (cosine, excluding itself) that
@@ -15,11 +19,12 @@ use crate::index::EmbeddingIndex;
 /// 1.0 means every instance's neighborhood is pure; chance level is the
 /// label's prevalence.
 ///
-/// This is [`EmbeddingIndex::precision_at_k`] over a throwaway index: one
-/// blocked Gram-matrix product instead of `n²` scalar cosine calls. Build
-/// the index yourself to amortize it across metrics and queries. Like the
-/// index method, `k` clamps to the available neighbor count and fewer than
-/// two points report 0.0 — a small corpus degrades instead of aborting.
+/// This is [`ShardedEmbeddingIndex::precision_at_k`] over a throwaway
+/// index: blocked shard×shard Gram products instead of `n²` scalar cosine
+/// calls, in `O(n·k)` memory instead of an `n×n` Gram. Build the index
+/// yourself to amortize it across metrics and queries. Like the index
+/// method, `k` clamps to the available neighbor count and fewer than two
+/// points report 0.0 — a small corpus degrades instead of aborting.
 ///
 /// # Panics
 ///
@@ -28,7 +33,11 @@ pub fn retrieval_precision_at_k(embeddings: &[Vec<f32>], labels: &[usize], k: us
     assert_eq!(embeddings.len(), labels.len(), "embeddings/labels mismatch");
     assert!(k > 0, "k must be positive");
     let dim = embeddings.first().map_or(1, Vec::len);
-    EmbeddingIndex::from_embeddings_dim(dim, embeddings, labels).precision_at_k(k)
+    let mut index = ShardedEmbeddingIndex::new(dim, SHARD_CAPACITY);
+    for (e, &l) in embeddings.iter().zip(labels) {
+        index.insert(e, l);
+    }
+    index.precision_at_k(k)
 }
 
 #[cfg(test)]

@@ -1,15 +1,14 @@
 //! A sharded, persistent, read-mostly embedding index for corpus-scale
 //! retrieval and concurrent serving.
 //!
-//! The flat [`EmbeddingIndex`] is the right shape for a few thousand
-//! embeddings: one contiguous matrix, one gemm. The deployment the paper's
-//! §IV-C motivates — embed every owned IP once, then answer "what is this
-//! suspect closest to?" forever — outgrows it in three ways: the corpus
-//! arrives *incrementally* (designs stream in; rebuilding a monolithic
-//! matrix per insert is quadratic), it must *outlive the process* (an
-//! index that vanishes on exit re-embeds the world on every restart), and
-//! it must keep *serving queries while it grows* (a monolithic `&mut`
-//! structure blocks every reader for the duration of an ingest).
+//! The deployment the paper's §IV-C motivates — embed every owned IP
+//! once, then answer "what is this suspect closest to?" forever —
+//! outgrows one contiguous matrix in three ways: the corpus arrives
+//! *incrementally* (designs stream in; rebuilding a monolithic matrix per
+//! insert is quadratic), it must *outlive the process* (an index that
+//! vanishes on exit re-embeds the world on every restart), and it must
+//! keep *serving queries while it grows* (a monolithic `&mut` structure
+//! blocks every reader for the duration of an ingest).
 //!
 //! [`ShardedEmbeddingIndex`] stores row-normalized embeddings in
 //! fixed-capacity shards with a sealed/tail split: every full shard is an
@@ -26,10 +25,10 @@
 //! floor are skipped without touching a row, and on corpora large enough
 //! to be worth threading the surviving per-shard scans fan out across
 //! workers via [`fan_out`]. Both paths produce results **bit-identical**
-//! to the flat index (a property test in `tests/properties.rs` holds this
-//! line): every score is computed by the same per-row kernel, pruning only
-//! discards shards whose rows provably lose, and the k-way merge is
-//! order-insensitive.
+//! to an exhaustive scan that scores every row and sorts (property tests
+//! in `tests/properties.rs` hold this line): every score is computed by
+//! the same per-row kernel, pruning only discards shards whose rows
+//! provably lose, and the k-way merge is order-insensitive.
 //!
 //! Two more layers kick in at corpus scale (≥ 100k rows). **Routing:**
 //! bound pruning only bites when shards are internally coherent, which
@@ -62,7 +61,7 @@ use gnn4ip_tensor::{
     Fnv64, Matrix, QuantParams, Workspace,
 };
 
-use crate::index::{normalize_into, query_norm, score_row, EmbeddingIndex, QueryHit};
+use crate::index::{normalize_into, query_norm, rank, score_row, QueryHit};
 
 /// Kind tag of the persisted shard-index artifact.
 pub const SHARD_INDEX_KIND: &str = "gnn4ip-shard-index";
@@ -86,7 +85,8 @@ pub const PARALLEL_QUERY_MIN_ROWS: usize = 1 << 17;
 /// top-k hit. Scores live in `[-1, 1]` and the accumulated rounding error
 /// of a `dim`-term dot product of unit vectors is bounded well below
 /// `1e-5` for any practical `dim`, so `1e-4` is a wide margin — and the
-/// flat/sharded bit-identity proptest holds the line empirically.
+/// sharded-vs-exhaustive bit-identity proptest holds the line
+/// empirically.
 const PRUNE_SLACK: f32 = 1e-4;
 
 /// How a sealed shard stores its rows.
@@ -411,8 +411,9 @@ fn max_row_l1(q: &[i8], params: QuantParams, dim: usize) -> f32 {
 /// An incrementally built, persistent, read-mostly index of row-normalized
 /// embeddings: immutable `Arc`-shared sealed shards plus one open tail.
 ///
-/// Scores, tie-breaking, and non-finite handling are identical to the flat
-/// [`EmbeddingIndex`]; only the storage layout and algorithms differ.
+/// Scores, tie-breaking, and non-finite handling are identical to an
+/// exhaustive scan that scores every row and sorts by score, then
+/// insertion index; only the storage layout and algorithms differ.
 /// [`snapshot`](ShardedEmbeddingIndex::snapshot) produces an independent
 /// copy in `O(sealed shards + tail)` — not `O(rows)` — so a serving thread
 /// can keep answering queries while a writer ingests.
@@ -559,7 +560,7 @@ impl PartialOrd for MergeHead {
 impl Ord for MergeHead {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap pops the maximum; reverse rank so "best" is maximal
-        EmbeddingIndex::rank(&self.hit, &other.hit).reverse()
+        rank(&self.hit, &other.hit).reverse()
     }
 }
 
@@ -571,11 +572,11 @@ impl Ord for MergeHead {
 /// index order (the per-shard scans do). That precondition collapses the
 /// keep/discard decision to one float compare: a candidate tying the
 /// retained worst on score always carries the larger index, so under
-/// [`EmbeddingIndex::rank`] it loses — only a strictly greater score
-/// evicts. When used as a cross-shard score *floor* (pruning), pushes
-/// arrive out of index order; ties then retain an arbitrary hit, but the
-/// floor — the worst retained *score* — is unaffected, which is all the
-/// pruning comparison reads.
+/// [`rank`] it loses — only a strictly greater score evicts. When used
+/// as a cross-shard score *floor* (pruning), pushes arrive out of index
+/// order; ties then retain an arbitrary hit, but the floor — the worst
+/// retained *score* — is unaffected, which is all the pruning comparison
+/// reads.
 struct TopK {
     k: usize,
     heap: std::collections::BinaryHeap<WorstFirst>,
@@ -597,7 +598,7 @@ impl PartialOrd for WorstFirst {
 impl Ord for WorstFirst {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // rank() is ascending-is-better; the heap maximum is the worst hit
-        EmbeddingIndex::rank(&self.0, &other.0)
+        rank(&self.0, &other.0)
     }
 }
 
@@ -652,7 +653,7 @@ fn shard_run(
 ) -> Vec<QueryHit> {
     let n = labels.len();
     // clamp per shard: a "give me everything" k (even usize::MAX, which
-    // the flat index accepts) must not size the heap
+    // `query` accepts) must not size the heap
     let kk = k.min(n);
     let mut scratch = Vec::with_capacity(dim);
     let mut top = TopK::new(kk);
@@ -678,7 +679,7 @@ fn shard_run(
         }
     }
     let mut run = top.into_hits();
-    run.sort_unstable_by(EmbeddingIndex::rank);
+    run.sort_unstable_by(rank);
     run
 }
 
@@ -756,7 +757,7 @@ fn shard_run_int8(
         }
     }
     let mut run = top.into_hits();
-    run.sort_unstable_by(EmbeddingIndex::rank);
+    run.sort_unstable_by(rank);
     (run, rescored)
 }
 
@@ -771,10 +772,10 @@ fn run_from_scores(scores: &[f32], labels: &[usize], offset: usize, k: usize) ->
     let mut top = TopK::new(kk);
     // A NaN among the first `kk` rows forces the positional walk:
     // [`shard_run`] pushes those rows unconditionally, a retained NaN
-    // floor then rejects everything, and [`EmbeddingIndex::rank`] is
-    // not a total order over NaN — no filtered walk reproduces that. A
-    // NaN *beyond* the head never enters serially (`score > worst` is
-    // false), so the filtered walk below drops it the same way.
+    // floor then rejects everything, and [`rank`] is not a total order
+    // over NaN — no filtered walk reproduces that. A NaN *beyond* the
+    // head never enters serially (`score > worst` is false), so the
+    // filtered walk below drops it the same way.
     let head_nan = scores[..kk].iter().fold(false, |a, &s| a | s.is_nan());
     if kk > 0 && !head_nan && nb > kk {
         // Floor-seeded selection. Block maxes (64-row granules, four
@@ -856,7 +857,7 @@ fn run_from_scores(scores: &[f32], labels: &[usize], offset: usize, k: usize) ->
         }
     }
     let mut run = top.into_hits();
-    run.sort_unstable_by(EmbeddingIndex::rank);
+    run.sort_unstable_by(rank);
     run
 }
 
@@ -973,7 +974,7 @@ fn shard_runs_int8_batch(
         .zip(rescored)
         .map(|(top, rs)| {
             let mut run = top.into_hits();
-            run.sort_unstable_by(EmbeddingIndex::rank);
+            run.sort_unstable_by(rank);
             (run, rs)
         })
         .collect()
@@ -1093,22 +1094,6 @@ impl ShardedEmbeddingIndex {
         self.sealed.iter().map(|s| s.rows.payload_bytes()).sum()
     }
 
-    /// Re-shards a flat index by copying its normalized rows verbatim —
-    /// no re-normalization, so the rows stay bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_capacity` is zero.
-    pub fn from_flat(flat: &EmbeddingIndex, shard_capacity: usize) -> Self {
-        let mut index = Self::new(flat.dim(), shard_capacity);
-        for (i, &label) in flat.labels().iter().enumerate() {
-            index.tail.data.extend_from_slice(flat.normalized_row(i));
-            index.tail.labels.push(label);
-            index.seal_tail_if_full();
-        }
-        index
-    }
-
     /// An independent copy that serves queries concurrently with further
     /// inserts on `self`: the sealed shards are shared by `Arc` (no row is
     /// copied) and only the tail — at most one shard — is cloned. This is
@@ -1212,10 +1197,10 @@ impl ShardedEmbeddingIndex {
         }
     }
 
-    /// Appends one embedding (normalized on the way in, exactly like
-    /// [`EmbeddingIndex::insert`]: non-finite or zero-norm rows are stored
-    /// as zero rows and score 0 against everything). Fills the tail shard;
-    /// the moment the tail reaches capacity it is sealed — centroid,
+    /// Appends one embedding (normalized on the way in: non-finite or
+    /// zero-norm rows are stored as zero rows and score 0 against
+    /// everything, so they can never corrupt top-k order). Fills the tail
+    /// shard; the moment the tail reaches capacity it is sealed — centroid,
     /// radius, and max-norm bounds computed once — and a fresh tail opens.
     ///
     /// # Panics
@@ -1240,9 +1225,12 @@ impl ShardedEmbeddingIndex {
 
     /// The `k` nearest neighbors of `query` by cosine similarity, highest
     /// first (ties broken by global insertion index) — bit-identical to
-    /// the flat [`EmbeddingIndex::query`] over the same insertions, with
-    /// default [`QueryOptions`]: bound pruning on, parallel scan gated
-    /// behind [`PARALLEL_QUERY_MIN_ROWS`]. `k == 0` yields an empty list.
+    /// an exhaustive scan of every row, with default [`QueryOptions`]:
+    /// bound pruning on, parallel scan gated behind
+    /// [`PARALLEL_QUERY_MIN_ROWS`]. Returns fewer than `k` hits only when
+    /// the index holds fewer rows; `k == 0` yields an empty list. A query
+    /// with a NaN/inf component (or a norm that overflows) is treated as
+    /// a zero query: every score is 0.
     ///
     /// # Panics
     ///
@@ -1845,8 +1833,8 @@ impl ShardedEmbeddingIndex {
     /// peak footprint is three `shard_capacity`-bounded matrices no matter
     /// how large the corpus grows — the full `n×n` Gram is never
     /// materialized. Each element is the same contiguous-row dot product
-    /// the flat index's [`EmbeddingIndex::pairwise_similarity`] computes,
-    /// so block values match it bit for bit.
+    /// [`Matrix::matmul_nt`] computes over the whole normalized matrix,
+    /// so block values match that Gram bit for bit.
     pub fn for_each_similarity_block<F>(&self, ws: &mut Workspace, mut f: F)
     where
         F: FnMut(usize, usize, &Matrix),
@@ -1874,11 +1862,14 @@ impl ShardedEmbeddingIndex {
         }
     }
 
-    /// Mean precision@k of same-label retrieval — the sharded, blocked
-    /// form of [`EmbeddingIndex::precision_at_k`], and numerically
-    /// identical to it: `k` clamps to `len() - 1`, fewer than two points
-    /// report 0.0, and the per-query neighbor sets agree exactly because
-    /// both sides select under the same total order on finite scores.
+    /// Mean precision@k of same-label retrieval: for each entry, the
+    /// fraction of its `k` nearest neighbors (excluding itself) that share
+    /// its label, averaged over all entries. `k` clamps to `len() - 1`
+    /// (each point has only that many neighbors), and fewer than two
+    /// points report 0.0 instead of aborting small-corpus callers. The
+    /// result has the same f64 bits as sorting each row of the full Gram
+    /// matrix, because both select under the same total order on finite
+    /// scores.
     ///
     /// Peak memory is `O(n·k)` for the per-row candidate keepers plus one
     /// shard×shard block, never the `n×n` Gram.
@@ -2335,6 +2326,7 @@ impl ShardedEmbeddingIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::oracle::Exhaustive;
 
     fn seeded_rows(n: usize, dim: usize) -> Vec<Vec<f32>> {
         (0..n)
@@ -2349,15 +2341,15 @@ mod tests {
             .collect()
     }
 
-    fn both(n: usize, dim: usize, cap: usize) -> (EmbeddingIndex, ShardedEmbeddingIndex) {
+    fn both(n: usize, dim: usize, cap: usize) -> (Exhaustive, ShardedEmbeddingIndex) {
         let rows = seeded_rows(n, dim);
-        let mut flat = EmbeddingIndex::new(dim);
+        let mut oracle = Exhaustive::new(dim);
         let mut sharded = ShardedEmbeddingIndex::new(dim, cap);
         for (i, row) in rows.iter().enumerate() {
-            flat.insert(row, i % 5);
+            oracle.insert(row, i % 5);
             sharded.insert(row, i % 5);
         }
-        (flat, sharded)
+        (oracle, sharded)
     }
 
     /// Every interesting option combination: serial/parallel ×
@@ -2392,12 +2384,12 @@ mod tests {
     }
 
     #[test]
-    fn query_matches_flat_bit_for_bit() {
+    fn query_matches_exhaustive_bit_for_bit() {
         for cap in [1, 3, 4, 7, 64] {
-            let (flat, sharded) = both(23, 6, cap);
+            let (oracle, sharded) = both(23, 6, cap);
             let q: Vec<f32> = (0..6).map(|j| 0.3 - j as f32 * 0.1).collect();
             for k in [1, 2, 5, 23, 40] {
-                let a = flat.query(&q, k);
+                let a = oracle.query(&q, k);
                 let b = sharded.query(&q, k);
                 assert_eq!(a.len(), b.len(), "cap {cap} k {k}");
                 for (x, y) in a.iter().zip(&b) {
@@ -2590,13 +2582,13 @@ mod tests {
         // bounds hopeless
         let dim = 6;
         let mut sharded = ShardedEmbeddingIndex::new(dim, 8);
-        let mut flat = EmbeddingIndex::new(dim);
+        let mut oracle = Exhaustive::new(dim);
         for c in 0..6 {
             for i in 0..8 {
                 let mut row = vec![0.0f32; dim];
                 row[c] = 1.0;
                 row[(c + 1) % dim] = 0.02 * i as f32; // small in-cluster spread
-                flat.insert(&row, c);
+                oracle.insert(&row, c);
                 sharded.insert(&row, c);
             }
         }
@@ -2609,7 +2601,7 @@ mod tests {
             int8_scan: true,
         };
         let (hits, stats) = sharded.query_opts(&q, 4, &opts);
-        assert_eq!(hits, flat.query(&q, 4));
+        assert_eq!(hits, oracle.query(&q, 4));
         assert!(hits.iter().all(|h| h.label == 2));
         assert_eq!(stats.sealed_shards, 6);
         assert!(
@@ -2633,7 +2625,7 @@ mod tests {
 
     #[test]
     fn parallel_scan_is_bit_identical_and_reports_itself() {
-        let (flat, sharded) = both(40, 5, 4);
+        let (oracle, sharded) = both(40, 5, 4);
         let q = [0.4, -0.2, 0.1, 0.3, -0.5];
         let opts = QueryOptions {
             prune: false,
@@ -2642,7 +2634,7 @@ mod tests {
             int8_scan: true,
         };
         let (hits, stats) = sharded.query_opts(&q, 7, &opts);
-        assert_eq!(hits, flat.query(&q, 7));
+        assert_eq!(hits, oracle.query(&q, 7));
         assert!(stats.parallel, "threshold 0 must engage the fan-out");
         // below the threshold the same query stays serial
         let (same, serial) = sharded.query_opts(
@@ -2675,12 +2667,12 @@ mod tests {
     }
 
     #[test]
-    fn precision_matches_flat_exactly() {
+    fn precision_matches_exhaustive_exactly() {
         for cap in [1, 4, 9, 64] {
-            let (flat, sharded) = both(17, 5, cap);
+            let (oracle, sharded) = both(17, 5, cap);
             for k in [1, 3, 8, 30] {
                 assert_eq!(
-                    flat.precision_at_k(k).to_bits(),
+                    oracle.precision_at_k(k).to_bits(),
                     sharded.precision_at_k(k).to_bits(),
                     "cap {cap} k {k}"
                 );
@@ -2689,32 +2681,92 @@ mod tests {
     }
 
     #[test]
-    fn from_flat_reshards_without_renormalizing() {
-        let (flat, sharded) = both(11, 4, 3);
-        let reshard = ShardedEmbeddingIndex::from_flat(&flat, 3);
-        assert_eq!(reshard, sharded);
+    fn non_finite_rows_behave_like_exhaustive() {
+        let mut oracle = Exhaustive::new(2);
+        let mut sharded = ShardedEmbeddingIndex::new(2, 2);
+        let rows: [&[f32]; 5] = [
+            &[f32::NAN, 1.0],
+            &[1.0, 0.0],
+            &[0.5, 0.5],
+            &[0.0, 0.0],
+            &[f32::INFINITY, f32::NEG_INFINITY],
+        ];
+        for (i, row) in rows.iter().enumerate() {
+            oracle.insert(row, i);
+            sharded.insert(row, i);
+        }
+        let hits = sharded.query(&[1.0, 0.1], 5);
+        let expect = oracle.query(&[1.0, 0.1], 5);
+        assert_eq!(hits, expect);
+        assert!(hits.iter().all(|h| h.score.is_finite()));
+        // the finite rows rank first; poisoned and zero-norm rows sink to
+        // the bottom with exactly 0.0
+        assert_eq!((hits[0].label, hits[1].label), (1, 2));
+        assert!(hits[2..].iter().all(|h| h.score == 0.0));
+        // a truncated query still returns the global best
+        assert_eq!(sharded.query(&[1.0, 0.1], 1)[0].label, 1);
     }
 
     #[test]
-    fn non_finite_rows_behave_like_flat() {
-        let mut flat = EmbeddingIndex::new(2);
+    fn query_scores_match_plain_cosine() {
         let mut sharded = ShardedEmbeddingIndex::new(2, 2);
-        let rows: [&[f32]; 4] = [&[f32::NAN, 1.0], &[1.0, 0.0], &[0.5, 0.5], &[0.0, 0.0]];
-        for (i, row) in rows.iter().enumerate() {
-            flat.insert(row, i);
-            sharded.insert(row, i);
+        sharded.insert(&[3.0, 4.0], 7); // normalizes to [0.6, 0.8]
+        let hits = sharded.query(&[2.0, 0.0], 1);
+        assert_eq!((hits[0].index, hits[0].label), (0, 7));
+        assert!((hits[0].score - 0.6).abs() < 1e-6);
+    }
+
+    #[test]
+    fn degenerate_queries_score_zero_everywhere() {
+        // one sealed shard plus a tail, so both storage paths answer
+        let mut sharded = ShardedEmbeddingIndex::new(2, 2);
+        for row in [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]] {
+            sharded.insert(&row, 0);
         }
-        let hits = sharded.query(&[1.0, 0.1], 4);
-        let expect = flat.query(&[1.0, 0.1], 4);
-        assert_eq!(hits, expect);
-        assert!(hits.iter().all(|h| h.score.is_finite()));
+        // zero, non-finite, and overflowing-norm queries take the
+        // zero-query path instead of producing NaN scores
+        for q in [
+            [0.0, 0.0],
+            [f32::NAN, 1.0],
+            [f32::INFINITY, 0.0],
+            [1.0, f32::NAN],
+            [f32::MAX, f32::MAX],
+        ] {
+            for opts in option_grid() {
+                let (hits, _) = sharded.query_opts(&q, 3, &opts);
+                assert!(hits.iter().all(|h| h.score == 0.0), "{q:?} {opts:?}");
+                // ties broken by insertion order, deterministically
+                let order: Vec<usize> = hits.iter().map(|h| h.index).collect();
+                assert_eq!(order, [0, 1, 2], "{q:?} {opts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn precision_at_k_clamps_k_and_needs_two_points() {
+        let (_, sharded) = both(10, 3, 4);
+        // k = 100 clamps to 9 neighbors per point instead of panicking
+        assert_eq!(
+            sharded.precision_at_k(100).to_bits(),
+            sharded.precision_at_k(9).to_bits()
+        );
+        // a singleton index has no neighborhoods at all
+        let mut single = ShardedEmbeddingIndex::new(2, 4);
+        single.insert(&[1.0, 0.0], 0);
+        assert_eq!(single.precision_at_k(3), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension")]
+    fn insert_rejects_wrong_dimension() {
+        ShardedEmbeddingIndex::new(3, 4).insert(&[1.0], 0);
     }
 
     #[test]
     fn all_zero_shards_prune_cleanly() {
         // a sealed shard of poisoned (zeroed) rows has bound 0; once the
         // floor is positive it is skipped, and the results still match
-        let mut flat = EmbeddingIndex::new(2);
+        let mut oracle = Exhaustive::new(2);
         let mut sharded = ShardedEmbeddingIndex::new(2, 2);
         let rows: [&[f32]; 6] = [
             &[1.0, 0.0],
@@ -2725,7 +2777,7 @@ mod tests {
             &[0.7, 0.2],
         ];
         for (i, row) in rows.iter().enumerate() {
-            flat.insert(row, i);
+            oracle.insert(row, i);
             sharded.insert(row, i);
         }
         let opts = QueryOptions {
@@ -2735,19 +2787,18 @@ mod tests {
             int8_scan: true,
         };
         let (hits, stats) = sharded.query_opts(&[1.0, 0.05], 2, &opts);
-        assert_eq!(hits, flat.query(&[1.0, 0.05], 2));
+        assert_eq!(hits, oracle.query(&[1.0, 0.05], 2));
         assert!(stats.sealed_pruned >= 1, "zero-bound shard not pruned");
     }
 
     #[test]
-    fn huge_k_dumps_everything_like_flat() {
+    fn huge_k_dumps_everything() {
         // k >> len (even usize::MAX) is a legitimate "give me everything"
-        // call on the flat index; the sharded one must accept it without
-        // sizing heaps from k
-        let (flat, sharded) = both(13, 4, 5);
+        // call; the index must accept it without sizing heaps from k
+        let (oracle, sharded) = both(13, 4, 5);
         let q = [0.2, -0.4, 0.6, 0.1];
         for k in [13, 14, 1 << 40, usize::MAX] {
-            assert_eq!(sharded.query(&q, k), flat.query(&q, k), "k={k}");
+            assert_eq!(sharded.query(&q, k), oracle.query(&q, k), "k={k}");
         }
     }
 
@@ -2757,7 +2808,7 @@ mod tests {
         assert!(idx.is_empty());
         assert!(idx.query(&[1.0, 0.0, 0.0], 5).is_empty());
         assert_eq!(idx.precision_at_k(2), 0.0);
-        // k == 0 is "report nothing", not a panic — matching the flat index
+        // k == 0 is "report nothing", not a panic
         let (_, filled) = both(5, 3, 2);
         assert!(filled.query(&[1.0, 0.0, 0.0], 0).is_empty());
         let (hits, stats) = filled.query_opts(&[1.0, 0.0, 0.0], 0, &QueryOptions::default());
@@ -2767,8 +2818,8 @@ mod tests {
 
     #[test]
     fn similarity_blocks_tile_the_full_gram() {
-        let (flat, sharded) = both(13, 4, 5);
-        let gram = flat.pairwise_similarity();
+        let (oracle, sharded) = both(13, 4, 5);
+        let gram = oracle.gram();
         let mut ws = Workspace::new();
         let mut seen = [false; 13 * 13];
         sharded.for_each_similarity_block(&mut ws, |ro, co, block| {
@@ -2785,6 +2836,9 @@ mod tests {
             }
         });
         assert!(seen.iter().all(|&s| s), "blocks must cover the full Gram");
+        for i in 0..13 {
+            assert!((gram.get(i, i) - 1.0).abs() < 1e-5, "diag {i}");
+        }
         // and the workspace pools block buffers instead of reallocating
         let warm = ws.allocations();
         sharded.for_each_similarity_block(&mut ws, |_, _, _| {});

@@ -2,7 +2,7 @@
 //!
 //! Embeds many instances of two MIPS-style processors — deliberately similar
 //! in functionality, different only in design style — with one batched
-//! tape-free pass, builds an [`EmbeddingIndex`] over them, and reports
+//! tape-free pass, builds a [`ShardedEmbeddingIndex`] over them, and reports
 //! retrieval purity plus nearest neighbors before projecting the
 //! 16-dimensional hw2vec embeddings to 2-D with PCA and 3-D with t-SNE.
 //!
@@ -10,10 +10,11 @@
 
 use gnn4ip::data::{designs::processors, vary_design, VariationConfig};
 use gnn4ip::dfg::graph_from_verilog;
-use gnn4ip::eval::{cluster_separation, pca, tsne, EmbeddingIndex, TsneConfig};
+use gnn4ip::eval::{cluster_separation, pca, tsne, ShardedEmbeddingIndex, TsneConfig};
 use gnn4ip::nn::{
     EngineConfig, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample, TrainConfig, TrainEngine,
 };
+use gnn4ip::tensor::Workspace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let per_design = 12usize;
@@ -68,7 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let embeddings = model.embed_batch(&graphs);
 
     // Corpus-scale similarity index: retrieval purity + nearest neighbors.
-    let index = EmbeddingIndex::from_embeddings(&embeddings, &labels);
+    let mut index = ShardedEmbeddingIndex::new(embeddings[0].len(), 256);
+    for (e, &label) in embeddings.iter().zip(&labels) {
+        index.insert(e, label);
+    }
     let p3 = index.precision_at_k(3);
     println!("\nRetrieval precision@3 over the index: {p3:.3} (1.0 = pure neighborhoods)");
     let probe = 0usize; // first pipeline-MIPS instance
@@ -82,21 +86,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         println!("    #{:<3} {name:<14} cos {:+.4}", h.index, h.score);
     }
-    let gram = index.pairwise_similarity();
     let (mut within, mut across, mut nw, mut na) = (0.0f64, 0.0f64, 0usize, 0usize);
-    for i in 0..index.len() {
-        for j in (i + 1)..index.len() {
-            if labels[i] == labels[j] {
-                within += gram.get(i, j) as f64;
-                nw += 1;
-            } else {
-                across += gram.get(i, j) as f64;
-                na += 1;
+    index.for_each_similarity_block(&mut Workspace::new(), |row_offset, col_offset, block| {
+        for i in 0..block.rows() {
+            for j in 0..block.cols() {
+                let (a, b) = (row_offset + i, col_offset + j);
+                if a >= b {
+                    continue; // each unordered pair once, no self-pairs
+                }
+                if labels[a] == labels[b] {
+                    within += block.get(i, j) as f64;
+                    nw += 1;
+                } else {
+                    across += block.get(i, j) as f64;
+                    na += 1;
+                }
             }
         }
-    }
+    });
     println!(
-        "  mean cosine within design {:+.4}, across designs {:+.4} (blocked Gram matrix)",
+        "  mean cosine within design {:+.4}, across designs {:+.4} (blocked Gram)",
         within / nw.max(1) as f64,
         across / na.max(1) as f64
     );

@@ -14,7 +14,7 @@
 use std::path::Path;
 
 use gnn4ip::data::{named_rtl_designs, vary_design, Corpus, CorpusSpec, VariationConfig};
-use gnn4ip::eval::EmbeddingIndex;
+use gnn4ip::eval::ShardedEmbeddingIndex;
 use gnn4ip::nn::{EngineConfig, Hw2VecConfig, TrainConfig};
 use gnn4ip::{run_training_pipeline, Gnn4Ip};
 
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // them so later runs never re-embed
         detector.save_library(&library_path)?;
     }
-    let mut index = EmbeddingIndex::new(embeddings[0].len());
+    let mut index = ShardedEmbeddingIndex::new(embeddings[0].len(), 256);
     for (label, e) in embeddings.iter().enumerate() {
         index.insert(e, label);
     }

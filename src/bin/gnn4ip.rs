@@ -45,8 +45,7 @@ use gnn4ip::eval::SHARD_INDEX_KIND;
 use gnn4ip::nn::{Hw2VecConfig, TrainConfig};
 use gnn4ip::tensor::{describe_artifact, BinReader, FORMAT_VERSION};
 use gnn4ip::{
-    run_experiment, run_service, AuditConfig, AuditPipeline, AuditSource, Gnn4Ip, IpLibrary,
-    ServiceConfig,
+    run_experiment, run_service, AuditConfig, AuditPipeline, AuditSource, Gnn4Ip, ServiceConfig,
 };
 
 fn main() -> ExitCode {
@@ -67,18 +66,24 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Flags that take no value; every other `--flag` consumes the argument
+/// after it.
+const SWITCHES: &[&str] = &["--netlist", "--check", "--dry-run"];
+
+fn is_value_flag(arg: &str) -> bool {
+    arg.starts_with("--") && !SWITCHES.contains(&arg)
+}
+
 fn positional(args: &[String]) -> Vec<&str> {
     let mut out = Vec::new();
     let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
+    for a in args {
         if skip {
             skip = false;
             continue;
         }
         if a.starts_with("--") {
-            // flags with values; bare switches listed here
-            skip = !matches!(a.as_str(), "--netlist" | "--check" | "--dry-run");
-            let _ = i;
+            skip = is_value_flag(a);
             continue;
         }
         out.push(a.as_str());
@@ -152,6 +157,10 @@ fn read_sources(files: &[PathBuf]) -> Result<Vec<AuditSource>, String> {
 fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let rest = &args[1.min(args.len())..];
+    // a value flag with nothing after it would otherwise read as absent
+    if let Some(flag) = rest.last().filter(|a| is_value_flag(a)) {
+        return Err(format!("{flag} needs a value"));
+    }
     match cmd {
         "train" => train_detector(rest),
         "check" => check(rest),
@@ -541,23 +550,27 @@ fn check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Screens one suspect against a library of files: an audit over an
+/// in-memory pipeline holding just those files, reporting every match.
 fn scan(args: &[String]) -> Result<(), String> {
     let files = positional(args);
     if files.len() < 2 {
         return Err("scan needs a suspect file plus at least one library file".to_string());
     }
     let detector = load_detector(args)?;
-    let mut lib = IpLibrary::new();
-    for path in &files[1..] {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        lib.register_source(&detector, *path, &src, None)
-            .map_err(|e| format!("{path}: {e}"))?;
+    let library: Vec<PathBuf> = files[1..].iter().map(PathBuf::from).collect();
+    let config = AuditConfig {
+        top_k: library.len(),
+        ..AuditConfig::default()
+    };
+    let mut pipeline = AuditPipeline::new(detector, config);
+    let report = pipeline.ingest(read_sources(&library)?);
+    if let Some((path, err)) = report.rejected.first() {
+        return Err(format!("{path}: {err}"));
     }
     let suspect = std::fs::read_to_string(files[0]).map_err(|e| format!("{}: {e}", files[0]))?;
-    let hits = lib
-        .scan(&detector, &suspect, None)
-        .map_err(|e| e.to_string())?;
-    for hit in hits {
+    let verdict = pipeline.audit(&suspect, None).map_err(|e| e.to_string())?;
+    for hit in verdict.matches {
         println!(
             "{:+.4}  {}  {}",
             hit.score,

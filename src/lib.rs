@@ -44,8 +44,8 @@ pub use gnn4ip_core::{
     corpus_inputs, run_audit_scenarios, run_experiment, run_service, run_training_pipeline,
     to_pair_samples, AuditConfig, AuditError, AuditMatch, AuditPipeline, AuditSnapshot,
     AuditSource, AuditVerdict, BatchReport, BoundedQueue, ExperimentOutcome, Gnn4Ip, IngestReport,
-    IpLibrary, LatencySummary, LibraryMatch, PipelineArtifacts, Publication, PublicationSlot,
-    ScenarioReport, ScenarioSpec, ServiceConfig, ServiceReport, Verdict,
+    LatencySummary, PipelineArtifacts, Publication, PublicationSlot, ScenarioReport, ScenarioSpec,
+    ServiceConfig, ServiceReport, Verdict,
 };
 
 /// Verilog front end (re-export of `gnn4ip-hdl`).

@@ -163,3 +163,73 @@ fn trained_detector_is_a_binary_artifact_that_check_loads() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn scan_ranks_the_library_and_rejects_bad_inputs() {
+    let dir = workdir("scan");
+    std::fs::write(
+        dir.join("x2.v"),
+        "module x2(input a, input b, output y); assign y = a ^ b; endmodule\n",
+    )
+    .expect("write x2.v");
+    std::fs::write(dir.join("bad.v"), "modul brok(input a);\n").expect("write bad.v");
+
+    let out = gnn4ip(&dir, &["scan", "inv.v", "inv.v", "x2.v"], "");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert_eq!(lines[0], "+1.0000  PIRACY  inv.v", "{text}");
+    assert!(lines[1].ends_with("  x2.v"), "{text}");
+
+    // an unparsable library file names itself
+    let out = gnn4ip(&dir, &["scan", "inv.v", "inv.v", "bad.v"], "");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).lines().any(|l| l.starts_with("error: bad.v:")),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty());
+
+    // an unparsable suspect, and a suspect without a library
+    for args in [&["scan", "bad.v", "inv.v"][..], &["scan", "inv.v"]] {
+        let out = gnn4ip(&dir, args, "");
+        assert_eq!(out.status.code(), Some(1), "{args:?}\n{}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_with_zero_queue_capacity_still_answers() {
+    let dir = workdir("serve-zero-queue");
+    let requests = format!("AUDIT a\n{INV}.\nSHUTDOWN\n");
+    let out = gnn4ip(&dir, &["serve", "--queue-capacity", "0"], &requests);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert!(lines[0].starts_with("VERDICT a "), "{text}");
+    assert_eq!(lines[1], "OK bye");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_value_flag_without_its_value_is_an_error() {
+    let dir = workdir("dangling-flag");
+    let out = gnn4ip(&dir, &["check", "inv.v", "inv.v", "--model"], "");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out)
+            .lines()
+            .any(|l| l == "error: --model needs a value"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    // a bare switch at the end is still fine
+    let out = gnn4ip(&dir, &["ingest", "inv.v", "--check"], "");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}

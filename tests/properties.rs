@@ -327,9 +327,7 @@ proptest! {
 
 // ------------------------------------------------------------------- eval
 
-use gnn4ip::eval::{
-    EmbeddingIndex, QueryOptions, RebalanceOptions, ShardStorage, ShardedEmbeddingIndex,
-};
+use gnn4ip::eval::{QueryHit, QueryOptions, RebalanceOptions, ShardStorage, ShardedEmbeddingIndex};
 
 /// Deterministic pseudo-random embeddings; every 7th row gets a
 /// non-finite component so the zero-row hardening stays under test.
@@ -350,13 +348,91 @@ fn index_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// Row normalization of the exhaustive reference: the float expressions
+/// the index applies on insert (non-finite or zero-norm rows become zero
+/// rows).
+fn normalized_rows(rows: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    rows.iter()
+        .map(|raw| {
+            let norm = raw.iter().map(|v| v * v).sum::<f32>().sqrt();
+            if !norm.is_finite() || norm < 1e-12 || raw.iter().any(|v| !v.is_finite()) {
+                vec![0.0; raw.len()]
+            } else {
+                raw.iter().map(|v| v / norm).collect()
+            }
+        })
+        .collect()
+}
+
+/// Hit order of the exhaustive reference: score descending, insertion
+/// index ascending.
+fn by_rank(a: &QueryHit, b: &QueryHit) -> std::cmp::Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.index.cmp(&b.index))
+}
+
+/// Exhaustive reference query: score every row, sort, truncate to `k`.
+fn exhaustive_query(rows: &[Vec<f32>], labels: &[usize], query: &[f32], k: usize) -> Vec<QueryHit> {
+    let qnorm = if query.iter().any(|v| !v.is_finite()) {
+        0.0
+    } else {
+        query.iter().map(|v| v * v).sum::<f32>().sqrt()
+    };
+    let mut hits: Vec<QueryHit> = normalized_rows(rows)
+        .iter()
+        .zip(labels)
+        .enumerate()
+        .map(|(index, (row, &label))| QueryHit {
+            index,
+            label,
+            score: if !qnorm.is_finite() || qnorm < 1e-12 {
+                0.0
+            } else {
+                row.iter().zip(query).map(|(&r, &q)| r * q).sum::<f32>() / qnorm
+            },
+        })
+        .collect();
+    hits.sort_by(by_rank);
+    hits.truncate(k);
+    hits
+}
+
+/// Exhaustive reference precision@k over the full materialized Gram.
+fn exhaustive_precision_at_k(rows: &[Vec<f32>], labels: &[usize], k: usize) -> f64 {
+    let n = rows.len();
+    if n < 2 {
+        return 0.0;
+    }
+    let k = k.min(n - 1);
+    let e = Matrix::from_vec(n, rows[0].len(), normalized_rows(rows).concat());
+    let gram = e.matmul_nt(&e);
+    let mut total = 0.0f64;
+    for q in 0..n {
+        let mut hits: Vec<QueryHit> = (0..n)
+            .filter(|&j| j != q)
+            .map(|j| QueryHit {
+                index: j,
+                label: labels[j],
+                score: gram.get(q, j),
+            })
+            .collect();
+        hits.sort_by(by_rank);
+        let same = hits[..k].iter().filter(|h| h.label == labels[q]).count();
+        total += same as f64 / k as f64;
+    }
+    total / n as f64
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded query equals the flat index bit-for-bit for every shard
-    /// capacity: same neighbor indices, labels, and score bit patterns.
+    /// Sharded query equals the exhaustive reference bit-for-bit for
+    /// every shard capacity: same neighbor indices, labels, and score bit
+    /// patterns.
     #[test]
-    fn sharded_query_matches_flat_bitwise(
+    fn sharded_query_matches_exhaustive_bitwise(
         n in 1usize..40,
         dim in 1usize..8,
         cap in 1usize..12,
@@ -364,16 +440,15 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let rows = index_rows(n, dim, seed);
-        let mut flat = EmbeddingIndex::new(dim);
+        let labels: Vec<usize> = (0..n).map(|i| i % 4).collect();
         let mut sharded = ShardedEmbeddingIndex::new(dim, cap);
-        for (i, row) in rows.iter().enumerate() {
-            flat.insert(row, i % 4);
-            sharded.insert(row, i % 4);
+        for (row, &l) in rows.iter().zip(&labels) {
+            sharded.insert(row, l);
         }
         let query: Vec<f32> = (0..dim)
             .map(|j| ((j as u64 ^ seed).wrapping_mul(40503) % 101) as f32 / 101.0 - 0.5)
             .collect();
-        let a = flat.query(&query, k);
+        let a = exhaustive_query(&rows, &labels, &query, k);
         let b = sharded.query(&query, k);
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
@@ -392,11 +467,11 @@ proptest! {
     }
 
     /// Bound-based shard pruning and fanned-out shard scans stay
-    /// bit-identical to the flat index on *clustered* corpora — the data
-    /// shape where pruning actually fires, so the rounding-slack safety
-    /// margin is exercised, not just bypassed.
+    /// bit-identical to the exhaustive reference on *clustered* corpora —
+    /// the data shape where pruning actually fires, so the rounding-slack
+    /// safety margin is exercised, not just bypassed.
     #[test]
-    fn pruned_and_parallel_query_matches_flat_bitwise(
+    fn pruned_and_parallel_query_matches_exhaustive_bitwise(
         clusters in 1usize..6,
         per_cluster in 1usize..12,
         dim in 2usize..8,
@@ -424,11 +499,10 @@ proptest! {
                     .collect()
             })
             .collect();
-        let mut flat = EmbeddingIndex::new(dim);
+        let labels: Vec<usize> = (0..n).map(|i| i / per_cluster).collect();
         let mut sharded = ShardedEmbeddingIndex::new(dim, cap);
-        for (i, row) in rows.iter().enumerate() {
-            flat.insert(row, i / per_cluster);
-            sharded.insert(row, i / per_cluster);
+        for (row, &l) in rows.iter().zip(&labels) {
+            sharded.insert(row, l);
         }
         // query into one cluster's direction: other clusters' shards are
         // prunable exactly when the bound math is doing its job
@@ -438,7 +512,7 @@ proptest! {
         if dim > 1 {
             query[(target + 1) % dim] = 0.1;
         }
-        let expect = flat.query(&query, k);
+        let expect = exhaustive_query(&rows, &labels, &query, k);
         for (threads, parallel_min_rows) in [(1, usize::MAX), (3, 0)] {
             let opts = QueryOptions { prune: true, threads, parallel_min_rows, int8_scan: true };
             let (hits, stats) = sharded.query_opts(&query, k, &opts);
@@ -447,11 +521,11 @@ proptest! {
         }
     }
 
-    /// Sharded precision@k equals the flat index exactly (same f64 bits):
-    /// the blocked shard×shard path selects the same neighbor sets as the
-    /// materialized Gram.
+    /// Sharded precision@k equals the exhaustive reference exactly (same
+    /// f64 bits): the blocked shard×shard path selects the same neighbor
+    /// sets as the materialized Gram.
     #[test]
-    fn sharded_precision_matches_flat_bitwise(
+    fn sharded_precision_matches_exhaustive_bitwise(
         n in 2usize..32,
         dim in 1usize..6,
         cap in 1usize..10,
@@ -460,13 +534,12 @@ proptest! {
     ) {
         let rows = index_rows(n, dim, seed);
         let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
-        let flat = EmbeddingIndex::from_embeddings_dim(dim, &rows, &labels);
         let mut sharded = ShardedEmbeddingIndex::new(dim, cap);
         for (row, &l) in rows.iter().zip(&labels) {
             sharded.insert(row, l);
         }
         prop_assert_eq!(
-            flat.precision_at_k(k).to_bits(),
+            exhaustive_precision_at_k(&rows, &labels, k).to_bits(),
             sharded.precision_at_k(k).to_bits()
         );
     }

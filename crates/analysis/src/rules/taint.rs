@@ -97,7 +97,12 @@ pub const TAINT_SANITIZERS: &[&str] = &[
 
 /// Limit idents: comparing a variable against one clears its taint for
 /// the whole fn — the comparison is the bound the fn enforces.
-pub const TAINT_LIMITS: &[&str] = &["max_body_bytes", "MAX_DIM", "MAX_SHARD_ROWS"];
+pub const TAINT_LIMITS: &[&str] = &[
+    "max_body_bytes",
+    "MAX_DIM",
+    "MAX_SHARD_ROWS",
+    "MAX_EXPR_DEPTH",
+];
 
 /// Callees whose first argument is an allocation count.
 pub const ALLOC_SINKS: &[&str] = &["with_capacity", "reserve", "reserve_exact"];

@@ -10,12 +10,14 @@
 //! trim scales with the number of collapses. The `dfg/phases` trim rows
 //! therefore also time an obfuscated multiplier (buffer chains, double
 //! inverters, dummy logic) and bare buffer chains of 500 to 8,000 gates;
-//! trim time should grow about linearly along the chains.
+//! trim time should grow about linearly along the chains. The front-end
+//! rows time preprocess, lex and parse separately on the obfuscated
+//! multiplier, and the whole front end on one Medium synthetic RTL design.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use gnn4ip_data::iscas::c6288_sized;
-use gnn4ip_data::{obfuscate_netlist, ObfuscationConfig};
+use gnn4ip_data::{obfuscate_netlist, synth_design, ObfuscationConfig, SynthSize};
 use gnn4ip_dfg::{graph_from_verilog, Dfg};
 
 /// `y = buf(buf(…buf(a)…))` as a chain of `len` buffer gates.
@@ -56,19 +58,31 @@ fn bench_extraction_scaling(c: &mut Criterion) {
 
 fn bench_pipeline_phases(c: &mut Criterion) {
     let src = c6288_sized(12);
+    let obfuscated = obfuscate_netlist(&src, 1, &ObfuscationConfig::default()).expect("obf");
     let mut group = c.benchmark_group("dfg/phases");
     group.sample_size(10);
-    group.bench_function("preprocess+parse", |b| {
+    let pre = gnn4ip_hdl::preprocess(&obfuscated, &Default::default()).expect("pre");
+    group.bench_function("preprocess/c6288_12x12_obfuscated", |b| {
+        b.iter(|| gnn4ip_hdl::preprocess(std::hint::black_box(&obfuscated), &Default::default()))
+    });
+    group.bench_function("lex/c6288_12x12_obfuscated", |b| {
+        b.iter(|| gnn4ip_hdl::lex(std::hint::black_box(&pre)))
+    });
+    // `parse` lexes its input, so this row includes the lex row
+    group.bench_function("parse/c6288_12x12_obfuscated", |b| {
+        b.iter(|| gnn4ip_hdl::parse(std::hint::black_box(&pre)))
+    });
+    let medium = synth_design(1, SynthSize::Medium);
+    group.bench_function("preprocess+parse/synth_medium_rtl", |b| {
         b.iter(|| {
-            let pre = gnn4ip_hdl::preprocess(&src, &Default::default()).expect("pre");
-            std::hint::black_box(gnn4ip_hdl::parse(&pre).expect("parse"))
+            let pre = gnn4ip_hdl::preprocess(std::hint::black_box(&medium), &Default::default());
+            gnn4ip_hdl::parse(&pre.expect("pre"))
         })
     });
     let flat = gnn4ip_hdl::elaborate(&src, Some("c6288")).expect("flat");
     group.bench_function("extract", |b| {
         b.iter(|| std::hint::black_box(gnn4ip_dfg::extract(&flat)))
     });
-    let obfuscated = obfuscate_netlist(&src, 1, &ObfuscationConfig::default()).expect("obf");
     let mut trim_rows = vec![
         ("trim".to_string(), gnn4ip_dfg::extract(&flat)),
         (

@@ -226,6 +226,27 @@ mod tests {
         assert_ne!(ta, tb);
     }
 
+    /// Saved embedding libraries key on these values: a front-end change
+    /// that moves them turns every persisted entry into a cache miss.
+    #[test]
+    fn fingerprints_are_pinned() {
+        const RTL: &str = "`define W 8
+`define MASK 8'hF0
+// an ALU slice: macros, based literals and comments
+module slice(input [`W-1:0] a, input [`W-1:0] b, input sel, output [`W-1:0] y);
+  /* mask the high nibble,
+     then mix */
+  wire [`W-1:0] m = a & `MASK; // tail comment
+  assign y = sel ? (m ^ b) : (b | 8'b0000_1111) + 'd3 - 4'sd2;
+endmodule
+";
+        let fp = |src: &str, top| design_fingerprint(src, top).expect("fp").as_u64();
+        assert_eq!(fp(INV, None), 0xe79c_fd46_8123_f281);
+        assert_eq!(fp(&gnn4ip_data::iscas::c432(), None), 0x575d_1f52_c592_f671);
+        assert_eq!(fp(RTL, None), 0xdcd9_7c69_18d3_76a1);
+        assert_eq!(fp(RTL, Some("slice")), 0x091a_40f8_57ec_a73c);
+    }
+
     #[test]
     fn preprocess_errors_propagate() {
         assert!(design_fingerprint("/* unterminated", None).is_err());

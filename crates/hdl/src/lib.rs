@@ -49,6 +49,8 @@ mod eval;
 mod fingerprint;
 mod flatten;
 mod lexer;
+#[cfg(test)]
+mod oracle;
 mod parser;
 mod preprocess;
 pub mod token;
@@ -62,7 +64,7 @@ pub use eval::Evaluator;
 pub use fingerprint::{design_fingerprint, Fingerprint, StableHasher};
 pub use flatten::{eval_const, flatten};
 pub use lexer::lex;
-pub use parser::parse;
+pub use parser::{parse, MAX_EXPR_DEPTH};
 pub use preprocess::{preprocess, IncludeMap};
 
 /// Parses and flattens a single-file design in one call.

@@ -35,7 +35,15 @@ pub type IncludeMap = HashMap<String, String>;
 /// # Ok::<(), gnn4ip_hdl::ParseVerilogError>(())
 /// ```
 pub fn preprocess(source: &str, includes: &IncludeMap) -> Result<String, ParseVerilogError> {
-    let no_comments = strip_comments(source)?;
+    let mut no_comments = strip_comments(source)?;
+    if !no_comments.bytes().any(|b| b == b'`' || b == b'\r') {
+        // no directive, macro use or CRLF: expanding would copy every line
+        // through unchanged and end the last one with a newline
+        if !no_comments.is_empty() && !no_comments.ends_with('\n') {
+            no_comments.push('\n');
+        }
+        return Ok(no_comments);
+    }
     let mut macros: HashMap<String, String> = HashMap::new();
     let mut out = String::with_capacity(no_comments.len());
     // Stack of "currently emitting" flags for ifdef nesting.
@@ -122,7 +130,7 @@ fn expand(
             continue;
         }
         if emitting(emit_stack) {
-            out.push_str(&substitute_macros(line, macros));
+            substitute_macros(line, macros, out);
         }
         out.push('\n');
     }
@@ -138,9 +146,14 @@ fn split_word(s: &str) -> (&str, &str) {
     (&s[..end], &s[end..])
 }
 
-/// Replaces `` `NAME `` occurrences with macro bodies (one level; bodies are
-/// themselves re-scanned once to support simple chained defines).
-fn substitute_macros(line: &str, macros: &HashMap<String, String>) -> String {
+/// Appends `line` to `out` with `` `NAME `` occurrences replaced by macro
+/// bodies (one level; bodies are themselves re-scanned once to support
+/// simple chained defines).
+fn substitute_macros(line: &str, macros: &HashMap<String, String>, out: &mut String) {
+    if !line.contains('`') {
+        out.push_str(line);
+        return;
+    }
     let mut cur = line.to_string();
     for _ in 0..4 {
         if !cur.contains('`') {
@@ -169,81 +182,77 @@ fn substitute_macros(line: &str, macros: &HashMap<String, String>) -> String {
         }
         cur = next;
     }
-    cur
+    out.push_str(&cur);
 }
 
 /// Removes `//`, `/* */` comments and `(* ... *)` attribute blocks while
 /// preserving line structure (newlines inside block comments are kept so
-/// spans stay accurate).
+/// spans stay accurate). Everything else, string literals included, is
+/// copied through verbatim in runs between comments.
 fn strip_comments(source: &str) -> Result<String, ParseVerilogError> {
     let bytes = source.as_bytes();
     let mut out = String::with_capacity(source.len());
+    // start of the pending verbatim run; every cut is at an ASCII byte
+    let mut run = 0;
     let mut i = 0;
-    while i < bytes.len() {
+    while let Some(skip) = bytes[i..]
+        .iter()
+        .position(|&b| matches!(b, b'/' | b'(' | b'"'))
+    {
+        i += skip;
         let c = bytes[i];
-        if c == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
+        let next = bytes.get(i + 1).copied();
+        if c == b'/' && next == Some(b'/') {
+            out.push_str(&source[run..i]);
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
-        } else if c == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'*' {
-            let start = i;
-            i += 2;
-            loop {
-                if i + 1 >= bytes.len() {
-                    let _ = start;
-                    return Err(ParseVerilogError::msg("unterminated block comment"));
-                }
-                if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                    i += 2;
-                    break;
-                }
-                if bytes[i] == b'\n' {
-                    out.push('\n');
-                }
-                i += 1;
-            }
-        } else if c == b'('
-            && i + 1 < bytes.len()
-            && bytes[i + 1] == b'*'
-            && bytes.get(i + 2) != Some(&b')')
-        {
+            run = i;
+        } else if c == b'/' && next == Some(b'*') {
+            out.push_str(&source[run..i]);
+            i = skip_block(bytes, i + 2, b'/', &mut out)
+                .ok_or_else(|| ParseVerilogError::msg("unterminated block comment"))?;
+            run = i;
+        } else if c == b'(' && next == Some(b'*') && bytes.get(i + 2) != Some(&b')') {
             // attribute block (* ... *) — but never the `@(*)` wildcard
-            i += 2;
-            loop {
-                if i + 1 >= bytes.len() {
-                    return Err(ParseVerilogError::msg("unterminated attribute block"));
-                }
-                if bytes[i] == b'*' && bytes[i + 1] == b')' {
-                    i += 2;
-                    break;
-                }
-                if bytes[i] == b'\n' {
-                    out.push('\n');
-                }
-                i += 1;
-            }
+            out.push_str(&source[run..i]);
+            i = skip_block(bytes, i + 2, b')', &mut out)
+                .ok_or_else(|| ParseVerilogError::msg("unterminated attribute block"))?;
+            run = i;
         } else if c == b'"' {
-            // string literal: copy verbatim
-            out.push('"');
+            // string literal: skip to the closing quote, escapes included
             i += 1;
             while i < bytes.len() && bytes[i] != b'"' {
                 if bytes[i] == b'\\' && i + 1 < bytes.len() {
-                    out.push(bytes[i] as char);
                     i += 1;
                 }
-                out.push(bytes[i] as char);
                 i += 1;
             }
-            if i < bytes.len() {
-                out.push('"');
-                i += 1;
-            }
+            i = (i + 1).min(bytes.len());
         } else {
-            out.push(c as char);
             i += 1;
         }
     }
+    out.push_str(&source[run..]);
     Ok(out)
+}
+
+/// Skips a block comment body starting at `i` up to and including the
+/// closing `*` + `close`, appending one `\n` to `out` per newline inside.
+/// Returns the index just past the block, or `None` if it never closes.
+fn skip_block(bytes: &[u8], mut i: usize, close: u8, out: &mut String) -> Option<usize> {
+    loop {
+        if i + 1 >= bytes.len() {
+            return None;
+        }
+        if bytes[i] == b'*' && bytes[i + 1] == close {
+            return Some(i + 2);
+        }
+        if bytes[i] == b'\n' {
+            out.push('\n');
+        }
+        i += 1;
+    }
 }
 
 #[cfg(test)]
@@ -255,6 +264,12 @@ mod tests {
         let s = "a // x\nb /* y\nz */ c";
         let out = preprocess(s, &IncludeMap::new()).expect("ok");
         assert_eq!(out, "a \nb \n c\n");
+    }
+
+    #[test]
+    fn string_literal_utf8_survives() {
+        let out = preprocess("x = \"h\u{e9}llo // \\\"\"; // c\n", &IncludeMap::new()).expect("ok");
+        assert_eq!(out, "x = \"h\u{e9}llo // \\\"\"; \n");
     }
 
     #[test]
